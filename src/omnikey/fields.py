@@ -4,7 +4,14 @@ Field elements are plain integer codes in [0, q).  For a prime field the
 code is the residue itself; for GF(p^k) the base-p digits of the code are
 the coefficients of the residue polynomial, digit i holding the x^i
 coefficient.  Extension fields multiply through discrete log/antilog
-tables built once at construction, so q is capped at 2**16.
+tables built once at construction, so q is capped at 2**16, and an order
+above the cap is refused before any primality test or table is built.
+
+All linear algebra goes through one Gauss-Jordan routine, `rref`, which
+returns the reduced row echelon rows and their pivot columns.  Rank is
+the pivot count; `solve_combination` reduces the augmented transpose and
+reads a witness off the pivots; span membership and basis completion are
+built on those two.
 """
 
 from __future__ import annotations
@@ -22,6 +29,7 @@ __all__ = [
     "Matrix",
     "make_field",
     "field_from_order",
+    "rref",
     "rank",
     "in_rowspan",
     "complete_basis",
@@ -153,13 +161,15 @@ class Field:
     """Arithmetic over GF(p^k) on integer element codes."""
 
     def __init__(self, p: int, k: int, modulus: Sequence[int] | None = None):
-        if not _is_prime(p):
-            raise InputFormatError(f"characteristic {p} is not prime")
         if k < 1:
             raise InputFormatError("extension degree must be >= 1")
+        # Size first: trial division of a huge p, or p**k for a huge k,
+        # would hang on hostile input.  Every prime has p**17 > MAX_ORDER.
+        if k >= MAX_ORDER.bit_length() or p**k > MAX_ORDER:
+            raise SizeGuardError(f"field order {p}**{k} exceeds {MAX_ORDER}")
+        if not _is_prime(p):
+            raise InputFormatError(f"characteristic {p} is not prime")
         q = p**k
-        if q > MAX_ORDER:
-            raise SizeGuardError(f"field order {q} exceeds {MAX_ORDER}")
         self.p = p
         self.k = k
         self.q = q
@@ -302,6 +312,8 @@ def field_from_order(q: int) -> Field:
     """Resolve an order like 16 or 17 to its unique field."""
     if q < 2:
         raise InputFormatError(f"no field of order {q}")
+    if q > MAX_ORDER:
+        raise SizeGuardError(f"field order {q} exceeds {MAX_ORDER}")
     for p in range(2, q + 1):
         if not _is_prime(p):
             continue
@@ -347,114 +359,81 @@ class Matrix:
         return [list(r) for r in self.rows]
 
 
-def _eliminate(field: Field, rows: list[list[int]]) -> list[list[int]]:
-    """In-place forward elimination; returns the pivot rows found."""
-    if not rows:
-        return []
-    ncols = len(rows[0])
-    pivots = []
-    r = 0
+def rref(field: Field, rows: Sequence[Sequence[int]]) -> tuple[list[list[int]], list[int]]:
+    """Reduced row echelon form by Gauss-Jordan elimination.
+
+    Returns the nonzero reduced rows, each with a leading 1, and their
+    pivot columns in ascending order.  The input rows are not modified.
+    The reduced rows depend only on the row space, not on the input order.
+    """
+    work = [list(r) for r in rows]
+    ncols = len(work[0]) if work else 0
+    pivots: list[int] = []
     for c in range(ncols):
-        pivot = next((i for i in range(r, len(rows)) if rows[i][c] != 0), None)
+        r = len(pivots)
+        if r == len(work):
+            break
+        pivot = next((i for i in range(r, len(work)) if work[i][c] != 0), None)
         if pivot is None:
             continue
-        rows[r], rows[pivot] = rows[pivot], rows[r]
-        inv = field.inv(rows[r][c])
-        rows[r] = [field.mul(inv, v) for v in rows[r]]
-        for i in range(len(rows)):
-            if i != r and rows[i][c] != 0:
-                f = rows[i][c]
-                rows[i] = [field.sub(v, field.mul(f, w)) for v, w in zip(rows[i], rows[r])]
-        pivots.append(rows[r])
-        r += 1
-        if r == len(rows):
-            break
-    return pivots
+        work[r], work[pivot] = work[pivot], work[r]
+        inv = field.inv(work[r][c])
+        work[r] = [field.mul(inv, v) for v in work[r]]
+        for i in range(len(work)):
+            if i != r and work[i][c] != 0:
+                f = work[i][c]
+                work[i] = [field.sub(v, field.mul(f, w)) for v, w in zip(work[i], work[r])]
+        pivots.append(c)
+    return work[: len(pivots)], pivots
 
 
 def rank(mat: Matrix) -> int:
     """Rank over the matrix's own field."""
-    return len(_eliminate(mat.field, mat.copy_rows()))
+    return len(rref(mat.field, mat.rows)[1])
 
 
 def in_rowspan(mat: Matrix, vec: Sequence[int]) -> bool:
     """True iff vec is a linear combination of mat's rows."""
-    if mat.rows and len(vec) != mat.ncols:
-        raise InputFormatError("vector length does not match matrix width")
-    base = _eliminate(mat.field, mat.copy_rows())
-    return len(_eliminate(mat.field, [list(r) for r in base] + [list(vec)])) == len(base)
+    return solve_combination(mat, vec) is not None
 
 
 def solve_combination(mat: Matrix, vec: Sequence[int]) -> list[int] | None:
     """Coefficients y with y . mat == vec, or None when vec is outside the
-    rowspan.  Solved by eliminating the transposed system."""
-    field = mat.field
+    rowspan.  Solved by reducing the transposed system augmented with vec:
+    a pivot in the augmented column means no solution, and coefficients
+    without a pivot (free ones) are left at 0."""
+    if mat.rows and len(vec) != mat.ncols:
+        raise InputFormatError("vector length does not match matrix width")
     nr = mat.nrows
-    if nr == 0:
-        return [] if all(v == 0 for v in vec) else None
-    # augmented transpose: columns of mat become rows, target appended.
-    aug = [[mat.rows[i][c] for i in range(nr)] + [vec[c]] for c in range(mat.ncols)]
-    r = 0
-    where = [-1] * nr
-    for c in range(nr):
-        pivot = next((i for i in range(r, len(aug)) if aug[i][c] != 0), None)
-        if pivot is None:
-            continue
-        aug[r], aug[pivot] = aug[pivot], aug[r]
-        inv = field.inv(aug[r][c])
-        aug[r] = [field.mul(inv, v) for v in aug[r]]
-        for i in range(len(aug)):
-            if i != r and aug[i][c] != 0:
-                f = aug[i][c]
-                aug[i] = [field.sub(v, field.mul(f, w)) for v, w in zip(aug[i], aug[r])]
-        where[c] = r
-        r += 1
-    for row in aug[r:]:
-        if row[-1] != 0:
-            return None
-    for i in range(r):
-        if all(v == 0 for v in aug[i][:-1]) and aug[i][-1] != 0:
-            return None
-    return [aug[where[c]][-1] if where[c] >= 0 else 0 for c in range(nr)]
+    aug = [[row[c] for row in mat.rows] + [v] for c, v in enumerate(vec)]
+    reduced, pivots = rref(mat.field, aug)
+    if nr in pivots:
+        return None
+    coeffs = [0] * nr
+    for row, c in zip(reduced, pivots):
+        coeffs[c] = row[-1]
+    return coeffs
 
 
 def complete_basis(mat: Matrix, count: int) -> list[list[int]]:
-    """Deterministically pick `count` vectors extending mat to higher rank.
-
-    Unit vectors are scanned first (they always suffice), then every other
-    vector in ascending code order as a fallback.
-    """
+    """Deterministically pick `count` unit vectors extending mat to higher
+    rank, scanning e_0, e_1, ... in order and keeping each one that raises
+    the rank.  Unit vectors always suffice (Steinitz exchange)."""
     field = mat.field
     ncols = mat.ncols if mat.rows else count
-    base = _eliminate(field, mat.copy_rows())
-    if len(base) + count > ncols:
+    span = rref(field, mat.rows)[0]
+    if len(span) + count > ncols:
         raise InputFormatError("not enough dimensions left to extend the basis")
     picked: list[list[int]] = []
-
-    def independent(v: list[int]) -> bool:
-        work = [list(r) for r in base] + [list(p) for p in picked] + [list(v)]
-        return len(_eliminate(field, work)) == len(base) + len(picked) + 1
-
     for j in range(ncols):
         if len(picked) == count:
-            return picked
+            break
         unit = [0] * ncols
         unit[j] = 1
-        if independent(unit):
+        grown = rref(field, span + [unit])[0]
+        if len(grown) > len(span):
             picked.append(unit)
-    code = 0
-    while len(picked) < count and code < field.q**ncols:  # pragma: no cover
-        digits = []
-        c = code
-        for _ in range(ncols):
-            digits.append(c % field.q)
-            c //= field.q
-        vec = list(reversed(digits))
-        if independent(vec):
-            picked.append(vec)
-        code += 1
-    if len(picked) < count:  # pragma: no cover
-        raise AssertionError("basis completion failed")
+            span = grown
     return picked
 
 

@@ -20,7 +20,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import InputFormatError, SizeGuardError
-from .fields import Field, Matrix, _eliminate, solve_combination
+from .fields import Field, rref
 from .network import MessageFamily
 from .protocols import Protocol, _client_cols, algebraic_issues
 
@@ -188,21 +188,18 @@ def verify_exhaustive(protocol: Protocol, fam: MessageFamily) -> VerifyReport:
             raise SizeGuardError(
                 f"{q}**{width} states exceed the enumeration guard"
             )
-        basis = _eliminate(
-            field, [list(r) for r in protocol.rows + protocol.key_rows]
-        )
-        r = len(basis)
+        # Reducing the transpose writes every row in the basis of the
+        # first independent rows, each of which gets a unit vector and so
+        # costs eval_row one digit.  Any basis gives the same histogram.
+        spanned = protocol.rows + protocol.key_rows
+        reduced = rref(field, list(zip(*spanned)))[0]
+        r = len(reduced)
         if q**r > STATE_GUARD:
             raise SizeGuardError(
                 f"{q}**{r} spanned states exceed the enumeration guard"
             )
-        mat = Matrix(field, [list(b) for b in basis])
         space = _Space(field, r)
-        active = []
-        for row in protocol.rows + protocol.key_rows:
-            coeffs = solve_combination(mat, list(row))
-            assert coeffs is not None
-            active.append(coeffs)
+        active = [[row[j] for row in reduced] for j in range(len(spanned))]
 
     trans_vals = [space.eval_row(row) for row in active[: len(protocol.rows)]]
     t_code = space.pack(trans_vals)

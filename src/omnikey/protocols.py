@@ -32,8 +32,10 @@ from .fields import (
     complete_basis,
     field_from_order,
     identity_rows,
+    in_rowspan,
     make_field,
     rank,
+    rref,
     solve_combination,
 )
 from .network import MessageFamily, make_gap, restrict
@@ -164,6 +166,21 @@ def _client_cols(fam: MessageFamily, client: int, dim: int) -> list[int]:
     return cols
 
 
+def _missing_cols(fam: MessageFamily, client: int, dim: int) -> list[int]:
+    held = set(_client_cols(fam, client, dim))
+    return [c for c in range(fam.m * dim) if c not in held]
+
+
+def _restricted(field: Field, rows, cols: Sequence[int]) -> Matrix:
+    """The rows cut down to the given columns.
+
+    A client holding coordinates H decodes a vector from its own values
+    plus the rows exactly when the vector's restriction to the other
+    coordinates lies in the span of the rows restricted to them, so the
+    identity rows for H never need to be stacked."""
+    return Matrix(field, [[row[c] for c in cols] for row in rows])
+
+
 def algebraic_issues(protocol: Protocol, fam: MessageFamily) -> list[str]:
     """Every check failure as a message; an empty list means the protocol
     is sound for this family."""
@@ -171,7 +188,6 @@ def algebraic_issues(protocol: Protocol, fam: MessageFamily) -> list[str]:
         raise InputFormatError("protocol shape does not match the family")
     field = protocol.field
     dim = protocol.dim
-    width = protocol.m * dim
     issues: list[str] = []
     for t, sender in enumerate(protocol.senders):
         allowed = set(_client_cols(fam, sender, dim))
@@ -185,17 +201,18 @@ def algebraic_issues(protocol: Protocol, fam: MessageFamily) -> list[str]:
     trans = [list(r) for r in protocol.rows]
     if protocol.kind == "omniscience":
         for j in range(1, fam.n + 1):
-            stack = identity_rows(width, _client_cols(fam, j, dim)) + trans
-            if rank(Matrix(field, stack)) != width:
+            missing = _missing_cols(fam, j, dim)
+            if rank(_restricted(field, trans, missing)) != len(missing):
                 issues.append(f"client {j} cannot decode every message")
     else:
         keys = [list(r) for r in protocol.key_rows]
         if rank(Matrix(field, trans + keys)) != rank(Matrix(field, trans)) + len(keys):
             issues.append("the keys leak through the transmissions")
         for j in range(1, fam.n + 1):
-            stack = Matrix(field, identity_rows(width, _client_cols(fam, j, dim)) + trans)
+            missing = _missing_cols(fam, j, dim)
+            seen = _restricted(field, trans, missing)
             for i, key in enumerate(keys):
-                if solve_combination(stack, key) is None:
+                if not in_rowspan(seen, [key[c] for c in missing]):
                     issues.append(f"client {j} cannot derive key {i + 1}")
     return issues
 
@@ -256,30 +273,15 @@ def decode_messages(
     if protocol.kind != "omniscience":
         raise InputFormatError("only omniscience protocols decode every message")
     stack, values = _own_values_stack(protocol, fam, client, own, received)
-    field = protocol.field
     width = protocol.m * protocol.dim
-    aug = [row + [val] for row, val in zip(stack, values)]
-    pivot_of = [-1] * width
-    r = 0
-    for c in range(width):
-        piv = next((i for i in range(r, len(aug)) if aug[i][c] != 0), None)
-        if piv is None:
-            continue
-        aug[r], aug[piv] = aug[piv], aug[r]
-        inv = field.inv(aug[r][c])
-        aug[r] = [field.mul(inv, v) for v in aug[r]]
-        for i in range(len(aug)):
-            if i != r and aug[i][c] != 0:
-                f = aug[i][c]
-                aug[i] = [field.sub(v, field.mul(f, w)) for v, w in zip(aug[i], aug[r])]
-        pivot_of[c] = r
-        r += 1
-    if any(p < 0 for p in pivot_of):
+    reduced, pivots = rref(
+        protocol.field, [row + [val] for row, val in zip(stack, values)]
+    )
+    if pivots[:width] != list(range(width)):
         raise InfeasibleError(f"client {client} cannot decode from this protocol")
-    for row in aug[r:]:
-        if row[-1] != 0:
-            raise InputFormatError("the given values contradict each other")
-    return tuple(aug[pivot_of[c]][-1] for c in range(width))
+    if width in pivots:
+        raise InputFormatError("the given values contradict each other")
+    return tuple(row[-1] for row in reduced[:width])
 
 
 def compute_key(
@@ -289,19 +291,14 @@ def compute_key(
     if protocol.kind != "secret-key":
         raise InputFormatError("only secret key protocols produce keys")
     stack, values = _own_values_stack(protocol, fam, client, own, received)
-    field = protocol.field
-    mat = Matrix(field, stack)
-    out = []
+    mat = Matrix(protocol.field, stack)
+    coeff_rows = []
     for i, key in enumerate(protocol.key_rows):
         coeffs = solve_combination(mat, list(key))
         if coeffs is None:
             raise InfeasibleError(f"client {client} cannot derive key {i + 1}")
-        acc = 0
-        for c, v in zip(coeffs, values):
-            if c:
-                acc = field.add(acc, field.mul(c, v))
-        out.append(acc)
-    return tuple(out)
+        coeff_rows.append(coeffs)
+    return tuple(evaluate_rows(protocol.field, coeff_rows, values))
 
 
 # ---------------------------------------------------------------------------
@@ -344,9 +341,10 @@ def _random_rows(field: Field, col_sets, width: int, rng: random.Random) -> list
     return rows
 
 
-def _search_rows(col_sets, hold_cols, width, row_rank, seed, fields=None):
+def _search_rows(col_sets, missing_cols, width, row_rank, seed, fields=None):
     """Coefficient rows letting every client reach full width, found by
-    escalating fields (or within `fields` only); returns (field, rows)."""
+    escalating fields (or within `fields` only); returns (field, rows).
+    `missing_cols` lists, per client, the coordinates it does not hold."""
     rng = random.Random(seed)
     attempts = 0
     for field in fields if fields is not None else _field_ladder():
@@ -363,12 +361,10 @@ def _search_rows(col_sets, hold_cols, width, row_rank, seed, fields=None):
                     f"no decodable coefficient rows after {attempts} attempts"
                 )
             attempts += 1
-            if row_rank is not None and rank(Matrix(field, [list(r) for r in rows])) != row_rank:
+            if row_rank is not None and rank(Matrix(field, rows)) != row_rank:
                 continue
             good = all(
-                rank(Matrix(field, identity_rows(width, cols) + [list(r) for r in rows]))
-                == width
-                for cols in hold_cols
+                rank(_restricted(field, rows, cols)) == len(cols) for cols in missing_cols
             )
             if good:
                 return field, rows
@@ -405,9 +401,9 @@ def synth_omniscience(
         return LinearProtocol(got, fam.n, fam.m, "omniscience", (), ())
     width = fam.m
     col_sets = [_positions(fam.masks[s - 1]) for s in senders]
-    hold_cols = [_positions(mask) for mask in fam.masks]
+    missing_cols = [_missing_cols(fam, j, 1) for j in range(1, fam.n + 1)]
     got, rows = _search_rows(
-        col_sets, hold_cols, width, None, seed,
+        col_sets, missing_cols, width, None, seed,
         None if forced is None else [forced],
     )
     proto = LinearProtocol(
@@ -453,9 +449,9 @@ def synth_sk(
         rows_w: list[list[int]] = []
     else:
         col_sets = [_positions(sub.masks[s - 1]) for s in senders]
-        hold_cols = [_positions(mask) for mask in sub.masks]
+        missing_cols = [_missing_cols(sub, j, 1) for j in range(1, sub.n + 1)]
         got, rows_w = _search_rows(
-            col_sets, hold_cols, w, len(senders), seed,
+            col_sets, missing_cols, w, len(senders), seed,
             None if forced is None else [forced],
         )
     keys_w = complete_basis(Matrix(got, [list(r) for r in rows_w]), tau)
@@ -467,7 +463,7 @@ def synth_sk(
         senders,
         tuple(embed(r) for r in rows_w),
         tuple(embed(r) for r in keys_w),
-        support,
+        tuple(c + 1 for c in sup_pos),
     )
     assert check_secret_key(proto, fam)
     return proto

@@ -152,6 +152,33 @@ def spanning_tree_ok(n: int, tree_edges) -> bool:
     return True
 
 
+def brute_span(field, rows, ncols: int) -> set:
+    """Every vector in the row span, grown one row at a time by adding
+    each field multiple of the row to everything reached so far."""
+    span = {(0,) * ncols}
+    for row in rows:
+        span = {
+            tuple(field.add(s, field.mul(a, v)) for s, v in zip(vec, row))
+            for vec in span
+            for a in field.elements()
+        }
+    return span
+
+
+def brute_unit_completion(field, rows, ncols: int, count: int) -> list:
+    """Scan unit vectors e_0, e_1, ... and keep each one outside the
+    enumerated span of the rows and the units kept so far."""
+    kept: list = []
+    for j in range(ncols):
+        if len(kept) == count:
+            break
+        unit = [0] * ncols
+        unit[j] = 1
+        if tuple(unit) not in brute_span(field, list(rows) + kept, ncols):
+            kept.append(unit)
+    return kept
+
+
 def random_family(rng: random.Random, n: int, m: int) -> MessageFamily:
     """Random holdings where every message has at least one holder."""
     while True:

@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import json
+import time
 
 from omnikey import make_pin, parse_network, protocol_from_json
 from omnikey.cli import main
@@ -312,3 +313,22 @@ def test_jobs_flag_is_accepted(capsys):
     )
     assert code == 0
     assert json.loads(out)["min_broadcasts"] == 2
+
+
+def test_oversized_field_order_exits_three_at_once(tmp_path, capsys):
+    started = time.perf_counter()
+    code, _, err = run(
+        capsys, "protocol", "--preset", "pin:4", "--field", "2147483647"
+    )
+    assert code == 3
+    assert "too large" in err
+    good = tmp_path / "sk.json"
+    run(capsys, "protocol", "--preset", "pin:4", "--kind", "secret-key", "-o", str(good))
+    data = json.loads(good.read_text())
+    data["field"] = {"p": 2305843009213693951, "k": 1, "modulus": [0, 1]}
+    crafted = tmp_path / "crafted.json"
+    crafted.write_text(json.dumps(data))
+    code, _, err = run(capsys, "verify", "--protocol", str(crafted), "--preset", "pin:4")
+    assert code == 3
+    assert "too large" in err
+    assert time.perf_counter() - started < 1.0

@@ -1,18 +1,23 @@
 from __future__ import annotations
 
 import random
+import time
 
 import pytest
 
 from omnikey import Field, Matrix, field_from_order, make_field
-from omnikey.errors import InputFormatError
+from omnikey.errors import InputFormatError, SizeGuardError
 from omnikey.fields import (
+    MAX_ORDER,
     complete_basis,
     identity_rows,
     in_rowspan,
     rank,
+    rref,
     solve_combination,
 )
+
+from conftest import brute_span, brute_unit_completion
 
 SMALL_ORDERS = [2, 3, 4, 5, 7, 8, 9, 16, 25]
 
@@ -211,3 +216,95 @@ def test_ragged_matrix_rejected():
     f = field_from_order(2)
     with pytest.raises(InputFormatError):
         Matrix(f, [[1, 0], [1]])
+
+
+def test_oversized_orders_are_refused_before_any_primality_test():
+    for call in (
+        lambda: Field(2**61 - 1, 1),
+        lambda: Field(3, 10**9),
+        lambda: field_from_order(2**31 - 1),
+        lambda: field_from_order(MAX_ORDER + 1),
+    ):
+        started = time.perf_counter()
+        with pytest.raises(SizeGuardError):
+            call()
+        assert time.perf_counter() - started < 0.5
+
+
+def test_order_at_the_cap_passes_the_guard():
+    # 2**16 itself is allowed, so the primality test gets to reject it
+    with pytest.raises(InputFormatError):
+        Field(MAX_ORDER, 1)
+
+
+# -- the elimination kernel against span enumeration -----------------------
+
+KERNEL_ORDERS = [2, 3, 4, 5, 9]
+
+
+def random_matrices(seed: int, per_field: int = 25):
+    """Sparse random matrices up to 4x5, some with a repeated row."""
+    rng = random.Random(seed)
+    for q in KERNEL_ORDERS:
+        f = field_from_order(q)
+        for _ in range(per_field):
+            nr, nc = rng.randint(0, 4), rng.randint(1, 5)
+            rows = [
+                [rng.randrange(q) if rng.random() < 0.5 else 0 for _ in range(nc)]
+                for _ in range(nr)
+            ]
+            if nr >= 2 and rng.random() < 0.3:
+                rows[-1] = list(rows[0])
+            yield f, rows, nc, rng
+
+
+def combine(f, coeffs, rows, ncols):
+    out = [0] * ncols
+    for c, row in zip(coeffs, rows):
+        for i, v in enumerate(row):
+            out[i] = f.add(out[i], f.mul(c, v))
+    return out
+
+
+def test_rref_is_reduced_and_spans_the_same_space():
+    for f, rows, nc, rng in random_matrices(41):
+        reduced, pivots = rref(f, rows)
+        assert len(reduced) == len(pivots)
+        assert pivots == sorted(set(pivots))
+        for row, p in zip(reduced, pivots):
+            assert all(v == 0 for v in row[:p]) and row[p] == 1
+            assert [r[p] for r in reduced].count(0) == len(reduced) - 1
+        assert brute_span(f, reduced, nc) == brute_span(f, rows, nc)
+        shuffled = [list(r) for r in rows]
+        rng.shuffle(shuffled)
+        assert rref(f, shuffled) == (reduced, pivots)
+
+
+def test_rank_and_span_membership_match_enumeration():
+    for f, rows, nc, rng in random_matrices(42):
+        mat = Matrix(f, rows)
+        span = brute_span(f, rows, nc)
+        assert f.q ** rank(mat) == len(span)
+        probes = [[rng.randrange(f.q) for _ in range(nc)] for _ in range(6)]
+        probes += [list(v) for v in rng.sample(sorted(span), min(4, len(span)))]
+        for vec in probes:
+            inside = tuple(vec) in span
+            assert in_rowspan(mat, vec) == inside
+            coeffs = solve_combination(mat, vec)
+            assert (coeffs is not None) == inside
+            if coeffs is not None:
+                assert len(coeffs) == len(rows)
+                assert combine(f, coeffs, rows, nc) == vec
+
+
+def test_complete_basis_matches_the_unit_vector_scan():
+    for f, rows, nc, _ in random_matrices(43, per_field=15):
+        mat = Matrix(f, rows)
+        free = nc - rank(mat)
+        for count in range(free + 1):
+            # a matrix without rows takes its width from the count
+            width = nc if rows else count
+            assert complete_basis(mat, count) == brute_unit_completion(f, rows, width, count)
+        if rows:
+            with pytest.raises(InputFormatError):
+                complete_basis(mat, free + 1)

@@ -1,5 +1,7 @@
 from __future__ import annotations
 
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -97,6 +99,25 @@ def test_functional_mode_matches_full_mode():
         assert np.array_equal(
             full.histogram.counts, func.histogram.counts * scale
         )
+
+
+def test_functional_mode_matches_full_mode_on_dependent_rows():
+    # a key equal to a transmission: rows and keys span less than their count
+    fam = make_gap(4)
+    sound = synth_sk(fam, 1)
+    leaky = dataclasses.replace(sound, key_rows=(sound.rows[-1],))
+    full = verify_exhaustive(leaky, fam)
+    saved = oracle_mod.STATE_GUARD
+    oracle_mod.STATE_GUARD = leaky.field.q ** len(leaky.rows)
+    try:
+        func = verify_exhaustive(leaky, fam)
+    finally:
+        oracle_mod.STATE_GUARD = saved
+    assert (full.mode, func.mode) == ("full", "functional")
+    assert not func.ok
+    assert func.mutual_information == full.mutual_information > 0
+    scale = full.states // func.states
+    assert np.array_equal(full.histogram.counts, func.histogram.counts * scale)
 
 
 def test_functional_mode_never_covers_omniscience():

@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import hashlib
 import random
 
 import pytest
@@ -15,6 +16,7 @@ from omnikey import (
     decode_messages,
     evaluate_rows,
     linear_secrecy_cost,
+    make_cyclic15,
     make_field,
     make_gap,
     make_pin,
@@ -23,10 +25,12 @@ from omnikey import (
     min_key_support,
     protocol_from_json,
     protocol_to_json,
+    restrict,
     split_gap_protocol,
     synth_chain,
     synth_omniscience,
     synth_sk,
+    verify_exhaustive,
 )
 from omnikey.errors import (
     InfeasibleError,
@@ -367,6 +371,14 @@ def test_json_round_trip_is_exact():
         assert protocol_to_json(again) == text
 
 
+def test_undecodable_is_reported_before_contradictory_values():
+    fam = MessageFamily.from_holdings(2, 2, [[1], [1, 2]])
+    proto = LinearProtocol(GF2, 2, 2, "omniscience", (2,), ((1, 0),))
+    # client 1 hears message 1 again, with a value that disagrees with its own
+    with pytest.raises(InfeasibleError):
+        decode_messages(proto, fam, 1, [0], [1])
+
+
 def test_protocol_from_json_rejects_malformed_input():
     good = protocol_to_json(synth_sk(make_pin(3), 1))
     import json as _json
@@ -405,3 +417,44 @@ def test_protocol_from_json_rejects_malformed_input():
             protocol_from_json(_json.dumps(v))
     with pytest.raises(InputFormatError):
         protocol_from_json("{not json")
+
+
+def test_synth_sk_on_a_restricted_family():
+    fam = restrict(make_pin(5), [3, 5, 7, 9, 10])
+    proto = synth_sk(fam, 1)
+    # support holds 1-based positions, like the rows, not original labels
+    assert [fam.labels[s - 1] for s in proto.support] == list(min_key_support(fam, 1))
+    assert verify_exhaustive(proto, fam).ok
+    assert protocol_from_json(protocol_to_json(proto)) == proto
+
+
+# sha256 of protocol_to_json, recorded before the elimination routines were
+# merged into one; any change in pivoting or basis choice shows up here
+GOLDEN_DIGESTS = {
+    "split_gap:4": "b6ff365f3c4028093752ae2198593e09b5df711ed56c92df6e443610dd5b6721",
+    "split_gap:6": "79669b5877cb47844b6c3f1f481c4366a2a91c324cd69012a7b815d574a55be4",
+    "split_gap:8": "9f4c57a17b2a0b1b17864dcff9da1e6910aec600bdcfecb0444bc8e5d450222b",
+    "omni pin:4 GF(11)": "b9fd289a0880c7432c8a5bd24f1ecf7dd59922fa3dc7ac3a795ed226713df6a6",
+    "sk pin:5 tau=2": "506e164930e0506e1abbef8f01a49fa480ce62b876a286c358c22218ed394e22",
+    "sk cyclic15 tau=2": "9da0d98e32d71cc35c4400b7e9ce66de726594ba4559064248174c039e4d8448",
+    "sk gap:6 tau=1": "c729b0d70b3edb3efc69a38b2a454bdad260bf4f266b432a6663c8fdd2e137af",
+    "sk pin:4 tau=2 seed=1 GF(16)": "6a4ce039eba8274f389c6a3a59540f65a26ddc9727e169b54e2cb0146f55519b",
+}
+
+
+def test_protocol_json_matches_golden_digests():
+    built = {
+        "split_gap:4": split_gap_protocol(4),
+        "split_gap:6": split_gap_protocol(6),
+        "split_gap:8": split_gap_protocol(8),
+        "omni pin:4 GF(11)": synth_omniscience(make_pin(4), field=11),
+        "sk pin:5 tau=2": synth_sk(make_pin(5), 2),
+        "sk cyclic15 tau=2": synth_sk(make_cyclic15(), 2),
+        "sk gap:6 tau=1": synth_sk(make_gap(6), 1),
+        "sk pin:4 tau=2 seed=1 GF(16)": synth_sk(make_pin(4), 2, seed=1, field=16),
+    }
+    digests = {
+        name: hashlib.sha256(protocol_to_json(p).encode()).hexdigest()
+        for name, p in built.items()
+    }
+    assert digests == GOLDEN_DIGESTS
