@@ -173,9 +173,9 @@ def cmd_analyze(args) -> int:
                 {"keys": report.max_keys + 1, "cost": None, "support": None}
             )
     if args.witness:
-        data["tight_sets"] = [
-            sorted(s) for s in min_broadcasts(fam).tight_sets[:10]
-        ]
+        if args.tau is None:
+            res = min_broadcasts(fam)
+        data["tight_sets"] = [sorted(s) for s in res.tight_sets[:10]]
         data["connectivity"] = _witness_payload(fam)
     seconds = time.perf_counter() - started
     if args.json:

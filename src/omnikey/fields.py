@@ -297,9 +297,14 @@ class Field:
     @classmethod
     def from_dict(cls, d: dict) -> "Field":
         try:
-            return cls(int(d["p"]), int(d["k"]), d["modulus"])
+            p, k, modulus = d["p"], d["k"], list(d["modulus"])
         except (KeyError, TypeError) as exc:
             raise InputFormatError(f"bad field description: {exc}") from exc
+        if any(isinstance(v, bool) or not isinstance(v, int) for v in (p, k, *modulus)):
+            raise InputFormatError(
+                "bad field description: p, k and modulus entries must be integers"
+            )
+        return cls(p, k, modulus)
 
 
 @lru_cache(maxsize=None)

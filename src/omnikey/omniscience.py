@@ -9,12 +9,15 @@ union table built once per family (n <= 24).
 
 Ties between optimal allocations go to the lexicographically smallest
 vector.  `separate` reports the most violated subset, smallest client
-bitmask first.
+bitmask first.  The tight subsets that certify an optimum are derived
+from the union table on first read of `OmniscienceResult.tight_sets`, so
+a caller that never reads them never pays for them.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
+from functools import cached_property
 from typing import Iterable, Sequence
 from weakref import WeakKeyDictionary
 
@@ -39,11 +42,24 @@ _BIG = 1 << 30
 
 @dataclass(frozen=True)
 class OmniscienceResult:
-    """Optimal broadcast count with its allocation and binding subsets."""
+    """Optimal broadcast count with its allocation and binding subsets.
+
+    `tight_sets` is derived from `family` on first read and cached: every
+    nonempty proper client subset whose constraint the allocation meets
+    with equality, ascending by client bitmask."""
 
     total: int
     allocation: tuple[int, ...]
-    tight_sets: tuple[frozenset[int], ...]
+    family: MessageFamily = field(repr=False)
+
+    @cached_property
+    def tight_sets(self) -> tuple[frozenset[int], ...]:
+        tables = _family_tables(self.family)
+        tight = tables.tight_masks(self.allocation, tables.rhs_for(tables.full_msgs))
+        return tuple(
+            frozenset(j + 1 for j in range(tables.n) if (mask >> j) & 1)
+            for mask in tight
+        )
 
 
 def demand(fam: MessageFamily, subset: Iterable[int]) -> int:
@@ -318,10 +334,10 @@ def _seed_constraints(tables: _Tables, keep: int) -> dict[int, int]:
 def _optimize_keep(tables: _Tables, keep: int):
     """Exact optimum for the family filtered to `keep` message positions.
 
-    Returns (total, allocation, rhs_array_or_None)."""
+    Returns (total, allocation)."""
     n = tables.n
     if n == 1:
-        return 0, (0,), None
+        return 0, (0,)
     seeds = _seed_constraints(tables, keep)
     masks = list(seeds)
     needs = [seeds[mk] for mk in masks]
@@ -331,7 +347,7 @@ def _optimize_keep(tables: _Tables, keep: int):
         vec = _cover_optimize(masks, needs, n)
         viol = tables.most_violated(vec, rhs)
         if viol is None:
-            return sum(vec), tuple(vec), rhs
+            return sum(vec), tuple(vec)
         mask, nd = viol
         assert mask not in known
         known.add(mask)
@@ -382,15 +398,9 @@ def _decision_keep(tables: _Tables, keep: int, budget: int) -> bool:
 def min_broadcasts(fam: MessageFamily) -> OmniscienceResult:
     """Exact minimum number of broadcasts for every client to learn every
     message, with the lexicographically smallest optimal allocation."""
-    if fam.n == 1:
-        return OmniscienceResult(0, (0,), ())
     tables = _family_tables(fam)
-    total, vec, rhs = _optimize_keep(tables, tables.full_msgs)
-    tight = tables.tight_masks(vec, rhs)
-    sets = tuple(
-        frozenset(j + 1 for j in range(fam.n) if (mask >> j) & 1) for mask in tight
-    )
-    return OmniscienceResult(total, vec, sets)
+    total, vec = _optimize_keep(tables, tables.full_msgs)
+    return OmniscienceResult(total, vec, fam)
 
 
 def broadcasts_at_most(fam: MessageFamily, budget: int) -> bool:

@@ -62,7 +62,7 @@ def is_critical(fam: MessageFamily, tau: int) -> bool:
     if tau < 1:
         raise InputFormatError("tau must be positive")
     tables = _family_tables(fam)
-    total, _, _ = _optimize_keep(tables, tables.full_msgs)
+    total, _ = _optimize_keep(tables, tables.full_msgs)
     if fam.m - total != tau:
         return False
     for i in range(fam.m):

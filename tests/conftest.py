@@ -49,6 +49,19 @@ def brute_min_broadcasts(fam: MessageFamily):
     return best_total, best_vec
 
 
+def brute_tight_sets(fam: MessageFamily, alloc):
+    """Every nonempty proper client subset (1-based ids) whose cut
+    constraint `alloc` meets with equality, ascending by client bitmask."""
+    n = fam.n
+    tight = []
+    for bits in range(1, (1 << n) - 1):
+        senders = [j for j in range(n) if bits >> j & 1]
+        rest = [j for j in range(n) if not bits >> j & 1]
+        if sum(alloc[j] for j in senders) == fam.m - union_size(fam, rest):
+            tight.append(frozenset(j + 1 for j in senders))
+    return tuple(tight)
+
+
 def brute_restrict_total(fam: MessageFamily, keep) -> int:
     """Minimum broadcast total for the subfamily on the kept messages."""
     kept = sorted(keep)

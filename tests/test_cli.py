@@ -332,3 +332,24 @@ def test_oversized_field_order_exits_three_at_once(tmp_path, capsys):
     assert code == 3
     assert "too large" in err
     assert time.perf_counter() - started < 1.0
+
+
+def test_non_integer_field_description_exits_two(tmp_path, capsys):
+    good = tmp_path / "sk.json"
+    run(capsys, "protocol", "--preset", "pin:4", "--kind", "secret-key", "-o", str(good))
+    data = json.loads(good.read_text())
+    field = data["field"]
+    crafted = tmp_path / "crafted.json"
+    for bad in (
+        {**field, "p": "abc"},
+        {**field, "p": 2.7},
+        {**field, "p": True},
+        {**field, "k": "1.5"},
+        {**field, "modulus": [0, "x"]},
+        {**field, "modulus": [0.0, 1]},
+        {**field, "modulus": None},
+    ):
+        crafted.write_text(json.dumps({**data, "field": bad}))
+        code, _, err = run(capsys, "verify", "--protocol", str(crafted), "--preset", "pin:4")
+        assert code == 2, bad
+        assert "bad field description" in err

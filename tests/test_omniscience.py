@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import hashlib
 import random
 
 import pytest
@@ -18,7 +19,13 @@ from omnikey import (
 )
 from omnikey.errors import InputFormatError, SizeGuardError
 
-from conftest import brute_feasible, brute_min_broadcasts, random_family, union_size
+from conftest import (
+    brute_feasible,
+    brute_min_broadcasts,
+    brute_tight_sets,
+    random_family,
+    union_size,
+)
 
 
 def test_two_clients_disjoint_halves():
@@ -157,6 +164,56 @@ def test_tight_sets_are_tight_and_justify_optimality():
         for subset in res.tight_sets:
             held = sum(res.allocation[j - 1] for j in subset)
             assert held == demand(fam, subset)
+
+
+def test_tight_sets_are_exactly_the_brute_force_tight_sets():
+    rng = random.Random(17)
+    for n in range(1, 11):
+        for _ in range(4):
+            fam = random_family(rng, n, rng.randint(1, 7))
+            res = min_broadcasts(fam)
+            assert res.tight_sets == brute_tight_sets(fam, res.allocation)
+    assert min_broadcasts(MessageFamily.from_holdings(1, 2, [[1, 2]])).tight_sets == ()
+
+
+def test_tight_sets_are_built_on_first_read_and_cached():
+    res = min_broadcasts(make_pin(5))
+    assert "tight_sets" not in vars(res)
+    first = res.tight_sets
+    assert "tight_sets" in vars(res)
+    assert res.tight_sets is first
+
+
+def _answer_digest(families) -> str:
+    h = hashlib.sha256()
+    for fam in families:
+        res = min_broadcasts(fam)
+        sets = tuple(tuple(sorted(s)) for s in res.tight_sets)
+        h.update(repr((res.total, res.allocation, sets)).encode())
+    return h.hexdigest()
+
+
+# sha256 of (total, allocation, tight sets), recorded before the tight sets
+# became lazy; any change in the optimum, its tie-break or the certificate
+# order shows up here
+GOLDEN_ANSWER_DIGESTS = {
+    "cyclic15": "d0ec128afedc3bb1ea316a46aa15dad57accbb84ae7224068148335622310802",
+    "pin:7": "410be6c6e82dbe9e0034278a76a4fa1b4b5fabf0a518a23a193a969a5bd3c491",
+    "gap:6": "b9e1b0d7749e7a459e1ade0ef68daa92a677ce679c3fff37dc754f58fe1e634c",
+    "16x6 seeds 0-19": "ab00e87084a818e22469194bac23d503c551c9a6d76f765970c56c5c24355c82",
+}
+
+
+def test_answers_match_golden_digests():
+    digests = {
+        "cyclic15": _answer_digest([make_cyclic15()]),
+        "pin:7": _answer_digest([make_pin(7)]),
+        "gap:6": _answer_digest([make_gap(6)]),
+        "16x6 seeds 0-19": _answer_digest(
+            random_family(random.Random(seed), 16, 6) for seed in range(20)
+        ),
+    }
+    assert digests == GOLDEN_ANSWER_DIGESTS
 
 
 def test_decision_mode_monotone_in_budget():
