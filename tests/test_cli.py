@@ -1,10 +1,20 @@
 from __future__ import annotations
 
+import hashlib
 import json
+import random
 import time
 
-from omnikey import make_pin, parse_network, protocol_from_json
+from omnikey import (
+    make_pin,
+    min_broadcasts,
+    network_to_json,
+    parse_network,
+    protocol_from_json,
+)
 from omnikey.cli import main
+
+from conftest import random_family
 
 
 def run(capsys, *argv):
@@ -93,6 +103,29 @@ def test_analyze_witness_payload(capsys):
     assert v["crossing"] == 6
     assert v["required"] == 9
     assert v["blocks"] == [[1], [2], [3], [4]]
+
+
+# sha256 of the printed tight sets of three 16-client, 6-message families,
+# recorded while every tight set was still decoded before the first ten
+# were taken
+GOLDEN_WITNESS_TIGHT_SETS = "a08c648db64a3cd08d4f34b7724455e46a133211cc52309e817a4fce9a4346a8"
+
+
+def test_analyze_witness_tight_sets_at_16_clients(tmp_path, capsys):
+    h = hashlib.sha256()
+    for seed in range(3):
+        fam = random_family(random.Random(seed), 16, 6)
+        path = tmp_path / f"fam{seed}.json"
+        path.write_text(network_to_json(fam))
+        code, out, _ = run(
+            capsys, "analyze", "--input", str(path), "--tau", "1", "--witness", "--json"
+        )
+        assert code == 0
+        printed = json.loads(out)["tight_sets"]
+        assert len(printed) == 10
+        assert printed == [sorted(s) for s in min_broadcasts(fam).tight_sets[:10]]
+        h.update(json.dumps(printed).encode())
+    assert h.hexdigest() == GOLDEN_WITNESS_TIGHT_SETS
 
 
 def test_example_round_trips_through_parse(capsys):
