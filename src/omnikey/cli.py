@@ -38,7 +38,7 @@ from .network import (
     parse_network,
     to_hypergraph,
 )
-from .omniscience import min_broadcasts
+from .omniscience import _first_tight_sets, min_broadcasts
 from .oracle import verify_exhaustive
 from .protocols import (
     protocol_from_json,
@@ -175,7 +175,7 @@ def cmd_analyze(args) -> int:
     if args.witness:
         if args.tau is None:
             res = min_broadcasts(fam)
-        data["tight_sets"] = [sorted(s) for s in res.tight_sets[:10]]
+        data["tight_sets"] = [sorted(s) for s in _first_tight_sets(res, 10)]
         data["connectivity"] = _witness_payload(fam)
     seconds = time.perf_counter() - started
     if args.json:

@@ -54,12 +54,17 @@ class OmniscienceResult:
 
     @cached_property
     def tight_sets(self) -> tuple[frozenset[int], ...]:
-        tables = _family_tables(self.family)
-        tight = tables.tight_masks(self.allocation, tables.rhs_for(tables.full_msgs))
-        return tuple(
-            frozenset(j + 1 for j in range(tables.n) if (mask >> j) & 1)
-            for mask in tight
-        )
+        return _first_tight_sets(self, None)
+
+
+def _first_tight_sets(res: OmniscienceResult, count: int | None):
+    """`res.tight_sets[:count]`, decoding only the masks it returns."""
+    tables = _family_tables(res.family)
+    tight = tables.tight_masks(res.allocation, tables.rhs_for(tables.full_msgs))
+    return tuple(
+        frozenset(j + 1 for j in range(tables.n) if (mask >> j) & 1)
+        for mask in tight[:count]
+    )
 
 
 def demand(fam: MessageFamily, subset: Iterable[int]) -> int:

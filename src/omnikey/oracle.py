@@ -11,6 +11,15 @@ few dimensions, functional mode enumerates that row space instead: the
 image of a uniform message vector under independent rows is itself
 uniform, so the joint distribution of (keys, transmissions) is reproduced
 exactly while per-client derivability falls back to the algebraic check.
+
+Either space is a C-order grid with one axis of length q per coordinate,
+so a state's flat index is its base-q code.  A row is evaluated by
+broadcasting one scaled length-q vector per nonzero coefficient along
+that coordinate's axis: prime fields add and reduce mod p in uint8 or
+uint16, and only prime-power fields gather from q x q addition and
+multiplication tables.  A value spans only the axes it depends on until
+it is combined with others, and a client's view is checked with one
+stable sort.
 """
 
 from __future__ import annotations
@@ -54,19 +63,22 @@ class JointHistogram:
         return self.counts.sum(axis=0)
 
 
+def _independence(counts: np.ndarray, states: int) -> tuple[bool, float]:
+    """(exactly independent?, bits) from int64 joint counts, with one outer
+    product of the marginals; the bits are 0.0 exactly when the integer
+    identity count * N == key_count * trans_count holds."""
+    indep = np.outer(counts.sum(axis=1), counts.sum(axis=0))
+    if np.array_equal(counts * states, indep):
+        return True, 0.0
+    nz = counts > 0
+    c = counts[nz].astype(np.float64)
+    return False, float(np.sum(c / states * np.log2(c * states / indep[nz])))
+
+
 def mutual_information_exact(hist: JointHistogram) -> float:
     """Bits between keys and transmissions; exactly 0.0 when the integer
     independence identity count * N == key_count * trans_count holds."""
-    counts = hist.counts.astype(np.int64)
-    n = hist.states
-    km = counts.sum(axis=1)
-    tm = counts.sum(axis=0)
-    if np.array_equal(counts * n, np.outer(km, tm)):
-        return 0.0
-    nz = counts > 0
-    c = counts[nz].astype(np.float64)
-    prod = np.outer(km, tm)[nz].astype(np.float64)
-    return float(np.sum(c / n * np.log2(c * n / prod)))
+    return _independence(hist.counts.astype(np.int64), hist.states)[1]
 
 
 @dataclass(frozen=True)
@@ -90,7 +102,11 @@ class VerifyReport:
 
 
 class _Space:
-    """All q**ncoords coordinate assignments, evaluated lazily per column."""
+    """All q**ncoords coordinate assignments as a C-order grid of shape
+    (q,)*ncoords, coordinate c on axis ncoords-1-c, so that a state's flat
+    index is its base-q code.  Values are built by broadcasting length-q
+    vectors along the axes they depend on and stay that small until they
+    are combined with values on other axes."""
 
     def __init__(self, field: Field, ncoords: int):
         q = field.q
@@ -99,38 +115,64 @@ class _Space:
         self.q = q
         self.ncoords = ncoords
         self.states = q**ncoords
-        self.dtype = np.uint8 if q <= 256 else np.uint16
-        self.add = np.zeros((q, q), dtype=self.dtype)
-        self.mul = np.zeros((q, q), dtype=self.dtype)
-        for a in range(q):
-            for b in range(q):
-                self.add[a, b] = field.add(a, b)
-                self.mul[a, b] = field.mul(a, b)
-        self.codes = np.arange(self.states, dtype=np.int64)
-        self._digits: dict[int, np.ndarray] = {}
+        self.shape = (q,) * ncoords
+        self.prime = field.k == 1
+        if self.prime:
+            # the sum of two residues must fit before it is reduced
+            self.dtype = np.uint8 if 2 * (q - 1) <= 255 else np.uint16
+        else:
+            self.dtype = np.uint8 if q <= 256 else np.uint16
+            self.add = np.zeros((q, q), dtype=self.dtype)
+            self.mul = np.zeros((q, q), dtype=self.dtype)
+            for a in range(q):
+                for b in range(q):
+                    self.add[a, b] = field.add(a, b)
+                    self.mul[a, b] = field.mul(a, b)
 
-    def digit(self, c: int) -> np.ndarray:
-        arr = self._digits.get(c)
-        if arr is None:
-            arr = ((self.codes // self.q**c) % self.q).astype(self.dtype)
-            self._digits[c] = arr
-        return arr
+    def along(self, c: int, vec: np.ndarray) -> np.ndarray:
+        """A length-q vector indexed by coordinate c, shaped to broadcast."""
+        shape = [1] * self.ncoords
+        shape[self.ncoords - 1 - c] = self.q
+        return vec.reshape(shape)
 
     def eval_row(self, row) -> np.ndarray:
-        acc = np.zeros(self.states, dtype=self.dtype)
+        acc = np.zeros((1,) * self.ncoords, dtype=self.dtype)
         for c, coeff in enumerate(row):
-            if coeff:
-                acc = self.add[acc, self.mul[coeff][self.digit(c)]]
+            if not coeff:
+                continue
+            if self.prime:
+                scaled = np.arange(self.q) * coeff % self.q
+                acc = acc + self.along(c, scaled.astype(self.dtype))
+                # below p the wrapped difference is the larger one
+                np.minimum(acc, acc - self.dtype(self.q), out=acc)
+            else:
+                acc = self.add[acc, self.along(c, self.mul[coeff])]
         return acc
 
-    def pack(self, parts: list[np.ndarray]) -> np.ndarray:
-        """Combine digit arrays into one base-q code."""
-        out = np.zeros(self.states, dtype=np.int64)
+    def pack(self, parts) -> np.ndarray:
+        """Combine values into one base-q code, the first least significant."""
+        out = np.zeros((1,) * self.ncoords, dtype=np.int64)
         mult = 1
         for p in parts:
-            out += p.astype(np.int64) * mult
+            out = out + p.astype(np.int64) * mult
             mult *= self.q
         return out
+
+    def code(self, cols) -> np.ndarray:
+        """Base-q code of the listed coordinates, the first least significant."""
+        digits = np.arange(self.q, dtype=np.int64)
+        return self.pack(self.along(c, digits) for c in cols)
+
+    def flat(self, values: np.ndarray) -> np.ndarray:
+        """The values of every state, indexed by its code."""
+        return np.broadcast_to(values, self.shape).ravel()
+
+    def counts(self, values: np.ndarray, length: int) -> np.ndarray:
+        """How many states take each value below `length`: every point of
+        the axes the values depend on stands for the same number of states."""
+        counts = np.bincount(values.ravel(), minlength=length)
+        counts *= self.states // values.size
+        return counts
 
     def unpack(self, code: int, count: int) -> tuple[int, ...]:
         digits = []
@@ -140,20 +182,22 @@ class _Space:
         return tuple(digits)
 
 
-def _determines(view: np.ndarray, out: np.ndarray, out_space: int):
+def _determines(view: np.ndarray, out: np.ndarray):
     """Does the view fix the output?  Returns (ok, pair of clashing state
-    indices or None)."""
-    _, inv = np.unique(view, return_inverse=True)
-    pair = inv.astype(np.int64) * out_space + out
-    order = np.argsort(pair, kind="stable")
-    sv = inv[order]
+    indices or None).  The pair is the first one a stable sort by (view,
+    output) puts side by side: in the smallest view seen with two outputs,
+    the last state with the smallest output and the first with the next."""
+    order = np.argsort(view, kind="stable")
+    sv = view[order]
     so = out[order]
-    clash = (sv[1:] == sv[:-1]) & (so[1:] != so[:-1])
-    hits = np.nonzero(clash)[0]
+    hits = np.flatnonzero((sv[1:] == sv[:-1]) & (so[1:] != so[:-1]))
     if hits.size == 0:
         return True, None
-    i = int(hits[0])
-    return False, (int(order[i]), int(order[i + 1]))
+    at = sv == sv[hits[0]]
+    group, outs = order[at], so[at]
+    first = outs.min()
+    second = outs[outs != first].min()
+    return False, (int(group[outs == first][-1]), int(group[outs == second][0]))
 
 
 # ---------------------------------------------------------------------------
@@ -190,7 +234,7 @@ def verify_exhaustive(protocol: Protocol, fam: MessageFamily) -> VerifyReport:
             )
         # Reducing the transpose writes every row in the basis of the
         # first independent rows, each of which gets a unit vector and so
-        # costs eval_row one digit.  Any basis gives the same histogram.
+        # spans one axis of the grid.  Any basis gives the same histogram.
         spanned = protocol.rows + protocol.key_rows
         reduced = rref(field, list(zip(*spanned)))[0]
         r = len(reduced)
@@ -205,18 +249,53 @@ def verify_exhaustive(protocol: Protocol, fam: MessageFamily) -> VerifyReport:
     t_code = space.pack(trans_vals)
     t_space = q ** len(protocol.rows)
 
+    hist = None
+    mi = None
+    out = None
     if protocol.kind == "omniscience":
-        hist = None
-        mi = None
+        out = np.arange(space.states, dtype=np.int64)
+        claims = (
+            "can reconstruct every message",
+            "cannot tell two message states apart",
+        )
+    else:
+        if mode == "full":
+            key_vals = [space.eval_row(list(r)) for r in protocol.key_rows]
+        else:
+            key_vals = [space.eval_row(row) for row in active[len(protocol.rows) :]]
+        k_code = space.pack(key_vals)
+        k_space = q ** len(protocol.key_rows)
+        joint = space.counts(k_code * t_space + t_code, k_space * t_space)
+        joint = joint.reshape(k_space, t_space)
+        hist = JointHistogram(
+            joint, space.states, q, len(protocol.key_rows), len(protocol.rows)
+        )
+        if np.all(hist.key_marginal() * k_space == space.states):
+            checks.append(f"key tuple uniform over {k_space} values")
+        else:
+            failures.append("key tuple is not uniform")
+        independent, mi = _independence(joint, space.states)
+        if independent:
+            checks.append("keys exactly independent of the transmissions")
+        else:
+            failures.append("keys are correlated with the transmissions")
+        if mode == "full":
+            out = space.flat(k_code)
+            claims = ("view determines the key", "cannot pin down the key")
+        else:
+            checks.append(
+                "per-client key derivation checked algebraically (state space too large)"
+            )
+
+    if out is not None:
         for j in range(1, fam.n + 1):
             cols = _client_cols(fam, j, protocol.dim)
-            own = space.pack([space.digit(c) for c in cols])
-            view = own * t_space + t_code
-            ok, clash = _determines(view, space.codes, space.states)
+            view = space.flat(space.code(cols) * t_space + t_code)
+            ok, clash = _determines(view, out)
             if ok:
-                checks.append(f"client {j} can reconstruct every message")
+                checks.append(f"client {j} {claims[0]}")
             else:
-                failures.append(f"client {j} cannot tell two message states apart")
+                failures.append(f"client {j} {claims[1]}")
                 if len(counterexamples) < _MAX_COUNTEREXAMPLES:
                     a, b = clash
                     counterexamples.append(
@@ -226,52 +305,6 @@ def verify_exhaustive(protocol: Protocol, fam: MessageFamily) -> VerifyReport:
                             "state_b": space.unpack(b, width),
                         }
                     )
-    else:
-        if mode == "full":
-            key_vals = [space.eval_row(list(r)) for r in protocol.key_rows]
-        else:
-            key_vals = [space.eval_row(row) for row in active[len(protocol.rows) :]]
-        k_code = space.pack(key_vals)
-        k_space = q ** len(protocol.key_rows)
-        joint = np.bincount(
-            k_code * t_space + t_code, minlength=k_space * t_space
-        ).reshape(k_space, t_space)
-        hist = JointHistogram(
-            joint, space.states, q, len(protocol.key_rows), len(protocol.rows)
-        )
-        km = hist.key_marginal()
-        if np.all(km * k_space == space.states):
-            checks.append(f"key tuple uniform over {k_space} values")
-        else:
-            failures.append("key tuple is not uniform")
-        if np.array_equal(joint * space.states, np.outer(km, hist.trans_marginal())):
-            checks.append("keys exactly independent of the transmissions")
-        else:
-            failures.append("keys are correlated with the transmissions")
-        mi = mutual_information_exact(hist)
-        if mode == "full":
-            for j in range(1, fam.n + 1):
-                cols = _client_cols(fam, j, protocol.dim)
-                own = space.pack([space.digit(c) for c in cols])
-                view = own * t_space + t_code
-                ok, clash = _determines(view, k_code, k_space)
-                if ok:
-                    checks.append(f"client {j} view determines the key")
-                else:
-                    failures.append(f"client {j} cannot pin down the key")
-                    if len(counterexamples) < _MAX_COUNTEREXAMPLES:
-                        a, b = clash
-                        counterexamples.append(
-                            {
-                                "client": j,
-                                "state_a": space.unpack(a, width),
-                                "state_b": space.unpack(b, width),
-                            }
-                        )
-        else:
-            checks.append(
-                "per-client key derivation checked algebraically (state space too large)"
-            )
 
     return VerifyReport(
         ok=not failures,

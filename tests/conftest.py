@@ -12,6 +12,8 @@ import itertools
 import random
 from math import inf
 
+import numpy as np
+
 from omnikey import MessageFamily
 
 
@@ -190,6 +192,39 @@ def brute_unit_completion(field, rows, ncols: int, count: int) -> list:
         if tuple(unit) not in brute_span(field, list(rows) + kept, ncols):
             kept.append(unit)
     return kept
+
+
+def brute_eval_states(field, rows, ncoords: int) -> list:
+    """Every row's value at every state, one state at a time: state s
+    gives coordinate c the base-q digit (s // q**c) % q."""
+    q = field.q
+    out = []
+    for row in rows:
+        values = []
+        for s in range(q**ncoords):
+            acc = 0
+            for c, coeff in enumerate(row):
+                acc = field.add(acc, field.mul(coeff, s // q**c % q))
+            values.append(acc)
+        out.append(values)
+    return out
+
+
+def reference_determines(view, out, out_space: int):
+    """Does the view fix the output?  Ranks the views, then sorts the
+    states by (view rank, output); the first neighbours with one view and
+    two outputs are the clashing pair."""
+    _, inv = np.unique(view, return_inverse=True)
+    pair = inv.astype(np.int64) * out_space + out
+    order = np.argsort(pair, kind="stable")
+    sv = inv[order]
+    so = out[order]
+    clash = (sv[1:] == sv[:-1]) & (so[1:] != so[:-1])
+    hits = np.nonzero(clash)[0]
+    if hits.size == 0:
+        return True, None
+    i = int(hits[0])
+    return False, (int(order[i]), int(order[i + 1]))
 
 
 def random_family(rng: random.Random, n: int, m: int) -> MessageFamily:

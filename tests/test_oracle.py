@@ -11,6 +11,7 @@ from omnikey import (
     JointHistogram,
     LinearProtocol,
     MessageFamily,
+    field_from_order,
     make_cyclic15,
     make_field,
     make_gap,
@@ -23,6 +24,8 @@ from omnikey import (
     verify_exhaustive,
 )
 from omnikey.errors import InputFormatError, SizeGuardError
+
+from conftest import brute_eval_states
 
 GF2 = make_field(2)
 
@@ -235,6 +238,29 @@ def test_mutual_information_exact_values():
     )
     mi = mutual_information_exact(half)
     assert 0.0 < mi < 1.0
+
+
+# 131 is the smallest prime whose residue sums overflow uint8
+@pytest.mark.parametrize(
+    "order, most",
+    [(2, 4), (3, 4), (4, 4), (5, 4), (7, 4), (8, 4), (9, 4), (11, 3), (131, 2)],
+)
+def test_space_matches_per_state_evaluation(order, most):
+    field = field_from_order(order)
+    rng = np.random.default_rng(order)
+    for ncoords in range(1, most + 1):
+        space = oracle_mod._Space(field, ncoords)
+        rows = [[0] * ncoords, [1] + [0] * (ncoords - 1)]
+        rows += rng.integers(0, order, size=(4, ncoords)).tolist()
+        expected = brute_eval_states(field, rows, ncoords)
+        for row, values in zip(rows, expected):
+            assert space.flat(space.eval_row(row)).tolist() == values
+        for cols in ([], [ncoords - 1], list(range(ncoords))[::-1]):
+            want = [
+                sum(s // order**c % order * order**i for i, c in enumerate(cols))
+                for s in range(space.states)
+            ]
+            assert space.flat(space.code(cols)).tolist() == want
 
 
 def _report_digest(proto, fam) -> str:

@@ -6,12 +6,14 @@ draw their own families and never replace a seeded case.
 
 from __future__ import annotations
 
+import numpy as np
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from omnikey import MessageFamily, min_broadcasts
+from omnikey.oracle import _determines
 
-from conftest import brute_tight_sets
+from conftest import brute_tight_sets, reference_determines
 
 
 @st.composite
@@ -32,3 +34,17 @@ def families(draw) -> MessageFamily:
 def test_tight_sets_match_brute_force(fam):
     res = min_broadcasts(fam)
     assert res.tight_sets == brute_tight_sets(fam, res.allocation)
+
+
+@settings(deadline=None, max_examples=300)
+@given(
+    st.integers(1, 40).flatmap(
+        lambda size: st.tuples(
+            st.lists(st.integers(0, 5), min_size=size, max_size=size),
+            st.lists(st.integers(0, 3), min_size=size, max_size=size),
+        )
+    )
+)
+def test_determines_matches_reference(arrays):
+    view, out = (np.array(a, dtype=np.int64) for a in arrays)
+    assert _determines(view, out) == reference_determines(view, out, 4)
