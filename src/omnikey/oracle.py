@@ -222,10 +222,11 @@ def verify_exhaustive(protocol: Protocol, fam: MessageFamily) -> VerifyReport:
     else:
         checks.append("algebraic rank and locality conditions hold")
 
+    spanned = protocol.rows + protocol.key_rows
     if q**width <= STATE_GUARD:
         mode = "full"
         space = _Space(field, width)
-        active = [list(r) for r in protocol.rows]
+        active = spanned
     else:
         mode = "functional"
         if protocol.kind == "omniscience":
@@ -235,7 +236,6 @@ def verify_exhaustive(protocol: Protocol, fam: MessageFamily) -> VerifyReport:
         # Reducing the transpose writes every row in the basis of the
         # first independent rows, each of which gets a unit vector and so
         # spans one axis of the grid.  Any basis gives the same histogram.
-        spanned = protocol.rows + protocol.key_rows
         reduced = rref(field, list(zip(*spanned)))[0]
         r = len(reduced)
         if q**r > STATE_GUARD:
@@ -245,9 +245,9 @@ def verify_exhaustive(protocol: Protocol, fam: MessageFamily) -> VerifyReport:
         space = _Space(field, r)
         active = [[row[j] for row in reduced] for j in range(len(spanned))]
 
-    trans_vals = [space.eval_row(row) for row in active[: len(protocol.rows)]]
-    t_code = space.pack(trans_vals)
-    t_space = q ** len(protocol.rows)
+    ntrans = len(protocol.rows)
+    t_code = space.pack(space.eval_row(row) for row in active[:ntrans])
+    t_space = q**ntrans
 
     hist = None
     mi = None
@@ -259,17 +259,11 @@ def verify_exhaustive(protocol: Protocol, fam: MessageFamily) -> VerifyReport:
             "cannot tell two message states apart",
         )
     else:
-        if mode == "full":
-            key_vals = [space.eval_row(list(r)) for r in protocol.key_rows]
-        else:
-            key_vals = [space.eval_row(row) for row in active[len(protocol.rows) :]]
-        k_code = space.pack(key_vals)
+        k_code = space.pack(space.eval_row(row) for row in active[ntrans:])
         k_space = q ** len(protocol.key_rows)
         joint = space.counts(k_code * t_space + t_code, k_space * t_space)
         joint = joint.reshape(k_space, t_space)
-        hist = JointHistogram(
-            joint, space.states, q, len(protocol.key_rows), len(protocol.rows)
-        )
+        hist = JointHistogram(joint, space.states, q, len(protocol.key_rows), ntrans)
         if np.all(hist.key_marginal() * k_space == space.states):
             checks.append(f"key tuple uniform over {k_space} values")
         else:
