@@ -33,7 +33,6 @@ __all__ = [
     "rank",
     "in_rowspan",
     "complete_basis",
-    "next_prime",
 ]
 
 
@@ -48,14 +47,6 @@ def _is_prime(v: int) -> bool:
             return False
         d += 2
     return True
-
-
-def next_prime(v: int) -> int:
-    """Smallest prime strictly greater than v."""
-    c = v + 1
-    while not _is_prime(c):
-        c += 1
-    return c
 
 
 def _prime_factors(v: int) -> list[int]:
@@ -359,9 +350,6 @@ class Matrix:
     @property
     def ncols(self) -> int:
         return len(self.rows[0]) if self.rows else 0
-
-    def copy_rows(self) -> list[list[int]]:
-        return [list(r) for r in self.rows]
 
 
 def rref(field: Field, rows: Sequence[Sequence[int]]) -> tuple[list[list[int]], list[int]]:

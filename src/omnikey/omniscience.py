@@ -132,7 +132,7 @@ class _Tables:
         mk = keep.bit_count()
         if self.np_unions is not None:
             rev = self.np_unions[::-1]
-            pc = _np_popcount(rev & np.uint64(keep))
+            pc = np.bitwise_count(rev & np.uint64(keep))
             return mk - pc.astype(np.int64)
         full = self.full_vars
         u = self.py_unions
@@ -182,21 +182,6 @@ class _Tables:
             for s in range(half):
                 asum[half + s] = asum[s] + aj
         return [s for s in range(1, full) if asum[s] == rhs[s]]
-
-
-def _np_popcount(arr: np.ndarray) -> np.ndarray:
-    if hasattr(np, "bitwise_count"):
-        return np.bitwise_count(arr)
-    # SWAR fallback for older numpy
-    x = arr.copy()
-    m1 = np.uint64(0x5555555555555555)
-    m2 = np.uint64(0x3333333333333333)
-    m4 = np.uint64(0x0F0F0F0F0F0F0F0F)
-    h01 = np.uint64(0x0101010101010101)
-    x = x - ((x >> np.uint64(1)) & m1)
-    x = (x & m2) + ((x >> np.uint64(2)) & m2)
-    x = (x + (x >> np.uint64(4))) & m4
-    return (x * h01) >> np.uint64(56)
 
 
 _table_cache: "WeakKeyDictionary[MessageFamily, _Tables]" = WeakKeyDictionary()

@@ -31,7 +31,7 @@ import numpy as np
 from .errors import InputFormatError, SizeGuardError
 from .fields import Field, rref
 from .network import MessageFamily
-from .protocols import Protocol, _client_cols, algebraic_issues
+from .protocols import LinearProtocol, _client_cols, algebraic_issues
 
 __all__ = [
     "STATE_GUARD",
@@ -43,6 +43,8 @@ __all__ = [
 
 STATE_GUARD = 1 << 23
 _TABLE_GUARD = 1 << 12
+# cells of the int64 (key, transmission) histogram, 64 MiB
+_HISTOGRAM_GUARD = 1 << 23
 _MAX_COUNTEREXAMPLES = 3
 
 
@@ -122,12 +124,25 @@ class _Space:
             self.dtype = np.uint8 if 2 * (q - 1) <= 255 else np.uint16
         else:
             self.dtype = np.uint8 if q <= 256 else np.uint16
-            self.add = np.zeros((q, q), dtype=self.dtype)
-            self.mul = np.zeros((q, q), dtype=self.dtype)
-            for a in range(q):
-                for b in range(q):
-                    self.add[a, b] = field.add(a, b)
-                    self.mul[a, b] = field.mul(a, b)
+            # Addition is digit-wise mod p: the table for codes below
+            # p**(i+1) is p x p blocks of the table below p**i, block (x, y)
+            # offset by ((x + y) % p) * p**i.  Multiplication adds discrete
+            # logs and reads the antilog table, repeated so that no sum of
+            # two logs needs reducing.
+            p = field.p
+            digit_sum = ((np.arange(p)[:, None] + np.arange(p)) % p).astype(self.dtype)
+            self.add = np.zeros((1, 1), dtype=self.dtype)
+            size = 1
+            for _ in range(field.k):
+                self.add = (
+                    digit_sum[:, None, :, None] * size + self.add[None, :, None, :]
+                ).reshape(size * p, size * p)
+                size *= p
+            logs = np.array(field._log, dtype=np.uint16)
+            antilog = np.array(field._exp * 2, dtype=self.dtype)
+            self.mul = antilog[logs[:, None] + logs]
+            self.mul[0, :] = 0
+            self.mul[:, 0] = 0
 
     def along(self, c: int, vec: np.ndarray) -> np.ndarray:
         """A length-q vector indexed by coordinate c, shaped to broadcast."""
@@ -205,7 +220,7 @@ def _determines(view: np.ndarray, out: np.ndarray):
 # ---------------------------------------------------------------------------
 
 
-def verify_exhaustive(protocol: Protocol, fam: MessageFamily) -> VerifyReport:
+def verify_exhaustive(protocol: LinearProtocol, fam: MessageFamily) -> VerifyReport:
     """Enumerate states (or the spanned row space) and check everything."""
     if protocol.n != fam.n or protocol.m != fam.m:
         raise InputFormatError("protocol shape does not match the family")
@@ -246,6 +261,15 @@ def verify_exhaustive(protocol: Protocol, fam: MessageFamily) -> VerifyReport:
         active = [[row[j] for row in reduced] for j in range(len(spanned))]
 
     ntrans = len(protocol.rows)
+    nkeys = len(protocol.key_rows)
+    if protocol.kind == "secret-key" and q ** (nkeys + ntrans) > _HISTOGRAM_GUARD:
+        raise SizeGuardError(
+            f"{q}**{nkeys + ntrans} key and transmission values exceed the histogram guard"
+        )
+    # a client's view is an int64 code over its coordinates and the
+    # transmissions
+    if mode == "full" and q ** (width + ntrans) > 1 << 63:
+        raise SizeGuardError(f"{q}**{width + ntrans} client views overflow 64-bit codes")
     t_code = space.pack(space.eval_row(row) for row in active[:ntrans])
     t_space = q**ntrans
 
@@ -260,10 +284,10 @@ def verify_exhaustive(protocol: Protocol, fam: MessageFamily) -> VerifyReport:
         )
     else:
         k_code = space.pack(space.eval_row(row) for row in active[ntrans:])
-        k_space = q ** len(protocol.key_rows)
+        k_space = q**nkeys
         joint = space.counts(k_code * t_space + t_code, k_space * t_space)
         joint = joint.reshape(k_space, t_space)
-        hist = JointHistogram(joint, space.states, q, len(protocol.key_rows), ntrans)
+        hist = JointHistogram(joint, space.states, q, nkeys, ntrans)
         if np.all(hist.key_marginal() * k_space == space.states):
             checks.append(f"key tuple uniform over {k_space} values")
         else:

@@ -7,9 +7,9 @@ transmissions learns nothing about them.  Synthesis searches structured
 rows first (powers of distinct field elements), then seeded random rows,
 escalating the field order until the algebraic checks pass.
 
-Vector protocols split every message into a fixed number of components
-over a smaller field; coordinate 2*i + c is component c of message i + 1
-when the dimension is 2.
+A protocol of dimension d splits every message into d components over a
+smaller field; coordinate d*i + c is component c of message i + 1.  A
+scalar protocol is the case d == 1.
 """
 
 from __future__ import annotations
@@ -26,7 +26,6 @@ from .errors import (
     SynthesisExhaustedError,
 )
 from .fields import (
-    MAX_ORDER,
     Field,
     Matrix,
     complete_basis,
@@ -44,7 +43,6 @@ from .secrecy import min_key_support
 
 __all__ = [
     "LinearProtocol",
-    "VectorLinearProtocol",
     "synth_omniscience",
     "synth_sk",
     "synth_chain",
@@ -65,43 +63,24 @@ _TRIES_PER_FIELD = 8
 _KINDS = ("omniscience", "secret-key")
 
 
+def _is_int(v) -> bool:
+    return isinstance(v, int) and not isinstance(v, bool)
+
+
 def _check_rows(field: Field, rows, width: int, what: str) -> None:
     for r in rows:
         if len(r) != width:
             raise InputFormatError(f"{what} must have {width} coordinates")
         for v in r:
-            if isinstance(v, bool) or not isinstance(v, int) or not 0 <= v < field.q:
+            if not _is_int(v) or not 0 <= v < field.q:
                 raise InputFormatError(f"{what} entries must be field codes below {field.q}")
-
-
-def _common_validate(p) -> None:
-    if p.n < 1 or p.m < 1:
-        raise InputFormatError("protocol needs at least one client and one message")
-    if p.kind not in _KINDS:
-        raise InputFormatError(f"unknown protocol kind {p.kind!r}")
-    if len(p.rows) != p.dim * len(p.senders):
-        raise InputFormatError("row count must be dimension times transmission count")
-    for s in p.senders:
-        if not 1 <= s <= p.n:
-            raise InputFormatError(f"sender {s} is not a client")
-    width = p.m * p.dim
-    _check_rows(p.field, p.rows, width, "transmission rows")
-    _check_rows(p.field, p.key_rows, width, "key rows")
-    if p.kind == "omniscience" and p.key_rows:
-        raise InputFormatError("omniscience protocols carry no key rows")
-    if p.kind == "secret-key" and not p.key_rows:
-        raise InputFormatError("secret key protocols need at least one key row")
-    if not p.support:
-        object.__setattr__(p, "support", tuple(range(1, p.m + 1)))
-    if list(p.support) != sorted(set(p.support)) or not all(
-        1 <= s <= p.m for s in p.support
-    ):
-        raise InputFormatError("support must list distinct message labels in order")
 
 
 @dataclass(frozen=True)
 class LinearProtocol:
-    """One field symbol per message; each transmission is a single row."""
+    """`dim` field symbols per message; each transmission is `dim` rows.
+
+    A scalar protocol is the case dim == 1."""
 
     field: Field
     n: int
@@ -111,36 +90,34 @@ class LinearProtocol:
     rows: tuple[tuple[int, ...], ...]
     key_rows: tuple[tuple[int, ...], ...] = ()
     support: tuple[int, ...] = dc_field(default=())
+    dim: int = 1
 
     def __post_init__(self) -> None:
-        _common_validate(self)
-
-    @property
-    def dim(self) -> int:
-        return 1
-
-
-@dataclass(frozen=True)
-class VectorLinearProtocol:
-    """`dim` field symbols per message; each transmission is `dim` rows."""
-
-    field: Field
-    dim: int
-    n: int
-    m: int
-    kind: str
-    senders: tuple[int, ...]
-    rows: tuple[tuple[int, ...], ...]
-    key_rows: tuple[tuple[int, ...], ...] = ()
-    support: tuple[int, ...] = dc_field(default=())
-
-    def __post_init__(self) -> None:
-        if self.dim < 1:
-            raise InputFormatError("dimension must be at least 1")
-        _common_validate(self)
-
-
-Protocol = LinearProtocol | VectorLinearProtocol
+        for what, v in (("clients", self.n), ("messages", self.m), ("dimension", self.dim)):
+            if not _is_int(v) or v < 1:
+                raise InputFormatError(f"{what} must be a positive integer")
+        if self.kind not in _KINDS:
+            raise InputFormatError(f"unknown protocol kind {self.kind!r}")
+        if len(self.rows) != self.dim * len(self.senders):
+            raise InputFormatError("row count must be dimension times transmission count")
+        for s in self.senders:
+            if not _is_int(s) or not 1 <= s <= self.n:
+                raise InputFormatError(f"sender {s!r} is not a client")
+        width = self.m * self.dim
+        _check_rows(self.field, self.rows, width, "transmission rows")
+        _check_rows(self.field, self.key_rows, width, "key rows")
+        if self.kind == "omniscience" and self.key_rows:
+            raise InputFormatError("omniscience protocols carry no key rows")
+        if self.kind == "secret-key" and not self.key_rows:
+            raise InputFormatError("secret key protocols need at least one key row")
+        if not self.support:
+            object.__setattr__(self, "support", tuple(range(1, self.m + 1)))
+        labels = self.support
+        if not (
+            all(_is_int(s) and 1 <= s <= self.m for s in labels)
+            and list(labels) == sorted(set(labels))
+        ):
+            raise InputFormatError("support must list distinct message labels in order")
 
 
 # ---------------------------------------------------------------------------
@@ -181,7 +158,7 @@ def _restricted(field: Field, rows, cols: Sequence[int]) -> Matrix:
     return Matrix(field, [[row[c] for c in cols] for row in rows])
 
 
-def algebraic_issues(protocol: Protocol, fam: MessageFamily) -> list[str]:
+def algebraic_issues(protocol: LinearProtocol, fam: MessageFamily) -> list[str]:
     """Every check failure as a message; an empty list means the protocol
     is sound for this family."""
     if protocol.n != fam.n or protocol.m != fam.m:
@@ -217,7 +194,7 @@ def algebraic_issues(protocol: Protocol, fam: MessageFamily) -> list[str]:
     return issues
 
 
-def check_omniscience(protocol: Protocol, fam: MessageFamily) -> bool:
+def check_omniscience(protocol: LinearProtocol, fam: MessageFamily) -> bool:
     """True iff every client can decode every message from own holdings
     plus the transmissions, each sent from messages its sender holds."""
     if protocol.kind != "omniscience":
@@ -225,7 +202,7 @@ def check_omniscience(protocol: Protocol, fam: MessageFamily) -> bool:
     return not algebraic_issues(protocol, fam)
 
 
-def check_secret_key(protocol: Protocol, fam: MessageFamily) -> bool:
+def check_secret_key(protocol: LinearProtocol, fam: MessageFamily) -> bool:
     """True iff all clients reproduce all keys and the keys stay jointly
     uniform given everything that was broadcast."""
     if protocol.kind != "secret-key":
@@ -250,7 +227,9 @@ def evaluate_rows(field: Field, rows: Sequence[Sequence[int]], values: Sequence[
     return out
 
 
-def _own_values_stack(protocol: Protocol, fam: MessageFamily, client: int, own, received):
+def _own_values_stack(
+    protocol: LinearProtocol, fam: MessageFamily, client: int, own, received
+):
     if not 1 <= client <= fam.n:
         raise InputFormatError(f"client {client} is not in the family")
     cols = _client_cols(fam, client, protocol.dim)
@@ -267,7 +246,7 @@ def _own_values_stack(protocol: Protocol, fam: MessageFamily, client: int, own, 
 
 
 def decode_messages(
-    protocol: Protocol, fam: MessageFamily, client: int, own, received
+    protocol: LinearProtocol, fam: MessageFamily, client: int, own, received
 ) -> tuple[int, ...]:
     """All message coordinates as seen by one client after the protocol."""
     if protocol.kind != "omniscience":
@@ -285,7 +264,7 @@ def decode_messages(
 
 
 def compute_key(
-    protocol: Protocol, fam: MessageFamily, client: int, own, received
+    protocol: LinearProtocol, fam: MessageFamily, client: int, own, received
 ) -> tuple[int, ...]:
     """The key coordinates as computed by one client."""
     if protocol.kind != "secret-key":
@@ -306,10 +285,10 @@ def compute_key(
 # ---------------------------------------------------------------------------
 
 
-def _field_ladder() -> Iterator[Field]:
-    for q in count(2):
-        if q > MAX_ORDER:
-            return
+def _field_ladder(start: int = 2) -> Iterator[Field]:
+    """Every field of order `start` or more, smallest first; an order
+    above MAX_ORDER raises SizeGuardError."""
+    for q in count(start):
         try:
             yield field_from_order(q)
         except InputFormatError:
@@ -341,7 +320,7 @@ def _random_rows(field: Field, col_sets, width: int, rng: random.Random) -> list
     return rows
 
 
-def _search_rows(col_sets, missing_cols, width, row_rank, seed, fields=None):
+def _search_rows(col_sets, missing_cols, width, seed, fields=None):
     """Coefficient rows letting every client reach full width, found by
     escalating fields (or within `fields` only); returns (field, rows).
     `missing_cols` lists, per client, the coordinates it does not hold."""
@@ -361,8 +340,6 @@ def _search_rows(col_sets, missing_cols, width, row_rank, seed, fields=None):
                     f"no decodable coefficient rows after {attempts} attempts"
                 )
             attempts += 1
-            if row_rank is not None and rank(Matrix(field, rows)) != row_rank:
-                continue
             good = all(
                 rank(_restricted(field, rows, cols)) == len(cols) for cols in missing_cols
             )
@@ -373,17 +350,29 @@ def _search_rows(col_sets, missing_cols, width, row_rank, seed, fields=None):
     )
 
 
-def _expand_allocation(allocation: Sequence[int]) -> tuple[int, ...]:
-    out = []
-    for j, a in enumerate(allocation):
-        out.extend([j + 1] * a)
-    return tuple(out)
-
-
-def _as_field(field: Field | int) -> Field:
-    if isinstance(field, Field):
+def _as_field(field: Field | int | None) -> Field | None:
+    if field is None or isinstance(field, Field):
         return field
     return field_from_order(field)
+
+
+def _min_omniscience(
+    fam: MessageFamily, seed: int, field: Field | None
+) -> tuple[Field, tuple[int, ...], tuple[tuple[int, ...], ...]]:
+    """(field, senders, rows) of a minimum omniscience protocol, in `field`
+    or else the smallest workable field.
+
+    Rows that let every client decode are independent at the optimum:
+    otherwise all but one of them would do, below the minimum."""
+    senders = []
+    for j, a in enumerate(min_broadcasts(fam).allocation, start=1):
+        senders.extend([j] * a)
+    col_sets = [_positions(fam.masks[s - 1]) for s in senders]
+    missing_cols = [_missing_cols(fam, j, 1) for j in range(1, fam.n + 1)]
+    got, rows = _search_rows(
+        col_sets, missing_cols, fam.m, seed, None if field is None else [field]
+    )
+    return got, tuple(senders), tuple(tuple(r) for r in rows)
 
 
 def synth_omniscience(
@@ -393,22 +382,8 @@ def synth_omniscience(
 
     Coefficients come from the smallest workable field unless `field`
     pins one down."""
-    forced = None if field is None else _as_field(field)
-    res = min_broadcasts(fam)
-    senders = _expand_allocation(res.allocation)
-    if not senders:
-        got = forced if forced is not None else make_field(2)
-        return LinearProtocol(got, fam.n, fam.m, "omniscience", (), ())
-    width = fam.m
-    col_sets = [_positions(fam.masks[s - 1]) for s in senders]
-    missing_cols = [_missing_cols(fam, j, 1) for j in range(1, fam.n + 1)]
-    got, rows = _search_rows(
-        col_sets, missing_cols, width, None, seed,
-        None if forced is None else [forced],
-    )
-    proto = LinearProtocol(
-        got, fam.n, fam.m, "omniscience", senders, tuple(tuple(r) for r in rows)
-    )
+    got, senders, rows = _min_omniscience(fam, seed, _as_field(field))
+    proto = LinearProtocol(got, fam.n, fam.m, "omniscience", senders, rows)
     assert check_omniscience(proto, fam)
     return proto
 
@@ -427,15 +402,14 @@ def synth_sk(
     from GF(2)."""
     if tau < 1:
         raise InputFormatError("tau must be positive")
-    forced = None if field is None else _as_field(field)
+    field = _as_field(field)
     support = min_key_support(fam, tau)
     if support is None:
         raise InfeasibleError(f"the family cannot agree on {tau} keys")
     sub = restrict(fam, support)
-    res = min_broadcasts(sub)
-    assert res.total == sub.m - tau
-    senders = _expand_allocation(res.allocation)
-    w = sub.m
+    got, senders, rows_w = _min_omniscience(sub, seed, field)
+    assert len(senders) == sub.m - tau
+    keys_w = complete_basis(Matrix(got, list(rows_w)), tau)
     sup_pos = fam.label_positions(support)
 
     def embed(row_w: Sequence[int]) -> tuple[int, ...]:
@@ -444,17 +418,6 @@ def synth_sk(
             row[c] = row_w[i]
         return tuple(row)
 
-    if not senders:
-        got = forced if forced is not None else make_field(2)
-        rows_w: list[list[int]] = []
-    else:
-        col_sets = [_positions(sub.masks[s - 1]) for s in senders]
-        missing_cols = [_missing_cols(sub, j, 1) for j in range(1, sub.n + 1)]
-        got, rows_w = _search_rows(
-            col_sets, missing_cols, w, len(senders), seed,
-            None if forced is None else [forced],
-        )
-    keys_w = complete_basis(Matrix(got, [list(r) for r in rows_w]), tau)
     proto = LinearProtocol(
         got,
         fam.n,
@@ -512,7 +475,7 @@ def synth_chain(fam: MessageFamily) -> LinearProtocol:
     return proto
 
 
-def split_gap_protocol(m: int) -> VectorLinearProtocol:
+def split_gap_protocol(m: int) -> LinearProtocol:
     """Half-rate key protocol for the family where one client holds all m
     messages and every pair of messages has a dedicated holder.
 
@@ -523,16 +486,7 @@ def split_gap_protocol(m: int) -> VectorLinearProtocol:
     scalar ones."""
     if m < 4 or m % 2:
         raise InputFormatError("the pair-holder family needs an even m of at least 4")
-    if m == 4:
-        field = make_field(2, 2)
-    else:
-        q = m - 1
-        while True:
-            try:
-                field = field_from_order(q)
-                break
-            except InputFormatError:
-                q += 1
+    field = make_field(2, 2) if m == 4 else next(_field_ladder(m - 1))
     n = m * (m - 1) // 2 + 1
     width = 2 * m
     use_inf = field.q == m - 1
@@ -558,15 +512,15 @@ def split_gap_protocol(m: int) -> VectorLinearProtocol:
             wrow.append(1 if ell == m - 3 else 0)
         wrows.append(wrow)
     keys_w = complete_basis(Matrix(field, [list(r) for r in wrows]), 2)
-    proto = VectorLinearProtocol(
+    proto = LinearProtocol(
         field,
-        2,
         n,
         m,
         "secret-key",
         (1,) * (m // 2 - 1),
         tuple(mixed_row(r) for r in wrows),
         tuple(mixed_row(r) for r in keys_w),
+        dim=2,
     )
     assert check_secret_key(proto, make_gap(m))
     return proto
@@ -577,7 +531,7 @@ def split_gap_protocol(m: int) -> VectorLinearProtocol:
 # ---------------------------------------------------------------------------
 
 
-def protocol_to_json(protocol: Protocol) -> str:
+def protocol_to_json(protocol: LinearProtocol) -> str:
     """Canonical JSON; parsing it back reproduces the exact object."""
     dim = protocol.dim
     groups = [
@@ -599,7 +553,7 @@ def protocol_to_json(protocol: Protocol) -> str:
     return json.dumps(data, indent=2, sort_keys=True) + "\n"
 
 
-def protocol_from_json(text: str) -> Protocol:
+def protocol_from_json(text: str) -> LinearProtocol:
     """Inverse of protocol_to_json, with strict validation."""
     try:
         data = json.loads(text)
@@ -620,10 +574,6 @@ def protocol_from_json(text: str) -> Protocol:
     if not isinstance(data["field"], dict):
         raise InputFormatError("field must be an object")
     field = Field.from_dict(data["field"])
-    for key in ("dimension", "clients", "messages"):
-        v = data[key]
-        if not isinstance(v, int) or isinstance(v, bool) or v < 1:
-            raise InputFormatError(f"{key} must be a positive integer")
     dim = data["dimension"]
     if not isinstance(data["transmissions"], list):
         raise InputFormatError("transmissions must be a list")
@@ -634,8 +584,6 @@ def protocol_from_json(text: str) -> Protocol:
             not isinstance(entry, dict)
             or set(entry) != {"sender", "rows"}
             or not isinstance(entry["rows"], list)
-            or not isinstance(entry["sender"], int)
-            or isinstance(entry["sender"], bool)
         ):
             raise InputFormatError('each transmission needs "sender" and "rows"')
         if len(entry["rows"]) != dim:
@@ -649,31 +597,16 @@ def protocol_from_json(text: str) -> Protocol:
         not isinstance(r, list) for r in data["keys"]
     ):
         raise InputFormatError("keys must be a list of rows")
-    keys = tuple(tuple(r) for r in data["keys"])
     if not isinstance(data["support"], list):
         raise InputFormatError("support must be a list")
-    try:
-        if dim == 1:
-            return LinearProtocol(
-                field,
-                data["clients"],
-                data["messages"],
-                data["kind"],
-                tuple(senders),
-                tuple(rows),
-                keys,
-                tuple(data["support"]),
-            )
-        return VectorLinearProtocol(
-            field,
-            dim,
-            data["clients"],
-            data["messages"],
-            data["kind"],
-            tuple(senders),
-            tuple(rows),
-            keys,
-            tuple(data["support"]),
-        )
-    except TypeError as exc:
-        raise InputFormatError(f"malformed protocol: {exc}") from exc
+    return LinearProtocol(
+        field,
+        data["clients"],
+        data["messages"],
+        data["kind"],
+        tuple(senders),
+        tuple(rows),
+        tuple(tuple(r) for r in data["keys"]),
+        tuple(data["support"]),
+        dim,
+    )

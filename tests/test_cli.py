@@ -386,3 +386,33 @@ def test_non_integer_field_description_exits_two(tmp_path, capsys):
         code, _, err = run(capsys, "verify", "--protocol", str(crafted), "--preset", "pin:4")
         assert code == 2, bad
         assert "bad field description" in err
+
+
+def test_verify_refuses_codes_past_64_bits(tmp_path, capsys):
+    # 80 transmissions over GF(2): client views need 2**83 codes in full
+    # mode, and a 41-bit (key, transmission) histogram would take 16 TiB
+    for argv, repeat in (
+        (("--preset", "pin:3"), 40),
+        (("--preset", "pin:4", "--kind", "secret-key"), 20),
+    ):
+        pfile = tmp_path / "repeated.json"
+        code, _, _ = run(capsys, "protocol", *argv, "--field", "2", "-o", str(pfile))
+        assert code == 0
+        data = json.loads(pfile.read_text())
+        data["transmissions"] *= repeat
+        pfile.write_text(json.dumps(data))
+        code, _, err = run(capsys, "verify", "--protocol", str(pfile), argv[0], argv[1])
+        assert code == 3, argv
+        assert "too large" in err
+
+
+def test_non_integer_support_entry_exits_two(tmp_path, capsys):
+    good = tmp_path / "sk.json"
+    run(capsys, "protocol", "--preset", "pin:4", "--kind", "secret-key", "-o", str(good))
+    data = json.loads(good.read_text())
+    crafted = tmp_path / "crafted.json"
+    for bad in ([1.5], [True, 2]):
+        crafted.write_text(json.dumps({**data, "support": bad}))
+        code, _, err = run(capsys, "verify", "--protocol", str(crafted), "--preset", "pin:4")
+        assert code == 2, bad
+        assert "support" in err

@@ -220,6 +220,29 @@ def test_field_order_guard_for_tables():
         verify_exhaustive(proto, fam)
 
 
+def test_prime_power_tables_match_field_arithmetic():
+    # every pair up to GF(256); above it seeded pairs plus every pair with 0
+    rng = np.random.default_rng(4096)
+    for q in range(4, oracle_mod._TABLE_GUARD + 1):
+        try:
+            field = field_from_order(q)
+        except InputFormatError:
+            continue
+        if field.k == 1:
+            continue
+        space = oracle_mod._Space(field, 1)
+        if q <= 256:
+            a, b = (x.ravel() for x in np.indices((q, q)))
+        else:
+            every = np.arange(q)
+            zeros = np.zeros(q, dtype=np.int64)
+            a = np.concatenate([rng.integers(0, q, 4096), every, zeros])
+            b = np.concatenate([rng.integers(0, q, 4096), zeros, every])
+        pairs = list(zip(a.tolist(), b.tolist()))
+        assert space.add[a, b].tolist() == [field.add(x, y) for x, y in pairs], q
+        assert space.mul[a, b].tolist() == [field.mul(x, y) for x, y in pairs], q
+
+
 def test_mutual_information_exact_values():
     perfect = JointHistogram(
         counts=np.eye(2, dtype=np.int64), states=2, q=2, key_rows=1, trans_rows=1

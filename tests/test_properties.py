@@ -1,4 +1,5 @@
-"""Property-based checks of the solvers against the brute force in conftest.
+"""Property-based checks of the solvers against the brute force in conftest,
+and of identities every synthesized protocol must satisfy.
 
 These run alongside the seeded loops in the per-module test files; they
 draw their own families and never replace a seeded case.
@@ -10,7 +11,19 @@ import numpy as np
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from omnikey import MessageFamily, min_broadcasts
+from omnikey import (
+    MessageFamily,
+    max_keys,
+    min_broadcasts,
+    protocol_from_json,
+    protocol_to_json,
+    split_gap_protocol,
+    synth_chain,
+    synth_omniscience,
+    synth_sk,
+)
+from omnikey.errors import InfeasibleError, SynthesisExhaustedError
+from omnikey.fields import Matrix, rank
 from omnikey.oracle import _determines
 
 from conftest import brute_tight_sets, reference_determines
@@ -48,3 +61,43 @@ def test_tight_sets_match_brute_force(fam):
 def test_determines_matches_reference(arrays):
     view, out = (np.array(a, dtype=np.int64) for a in arrays)
     assert _determines(view, out) == reference_determines(view, out, 4)
+
+
+def synthesized(fam, seed, field):
+    """The omniscience protocol and one protocol per key count, leaving out
+    those the pinned field cannot carry."""
+    out = []
+    for tau in range(max_keys(fam) + 1):
+        try:
+            if tau == 0:
+                out.append(synth_omniscience(fam, seed, field))
+            else:
+                out.append(synth_sk(fam, tau, seed, field))
+        except SynthesisExhaustedError:
+            pass
+    return out
+
+
+@settings(deadline=None, max_examples=100)
+@given(
+    families(),
+    st.integers(0, 3),
+    st.sampled_from((None, 2, 3, 4)),
+    st.sampled_from((4, 6, 8)),
+)
+def test_protocols_survive_a_json_round_trip(fam, seed, field, gap):
+    protos = synthesized(fam, seed, field) + [split_gap_protocol(gap)]
+    try:
+        protos.append(synth_chain(fam))
+    except InfeasibleError:
+        pass
+    for proto in protos:
+        assert protocol_from_json(protocol_to_json(proto)) == proto
+
+
+@settings(deadline=None, max_examples=100)
+@given(families(), st.integers(0, 3), st.sampled_from((None, 2, 3, 4)))
+def test_synthesized_transmissions_are_independent(fam, seed, field):
+    for proto in synthesized(fam, seed, field):
+        rows = Matrix(proto.field, [list(r) for r in proto.rows])
+        assert rank(rows) == len(proto.senders)

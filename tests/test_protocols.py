@@ -8,7 +8,6 @@ import pytest
 from omnikey import (
     LinearProtocol,
     MessageFamily,
-    VectorLinearProtocol,
     algebraic_issues,
     check_omniscience,
     check_secret_key,
@@ -69,7 +68,7 @@ def test_validation_rejects_inconsistent_shapes():
     with pytest.raises(InputFormatError):
         LinearProtocol(GF2, 2, 2, "banana", (1,), ((1, 0),))
     with pytest.raises(InputFormatError):
-        VectorLinearProtocol(GF2, 0, 2, 2, "omniscience", (1,), ())
+        LinearProtocol(GF2, 2, 2, "omniscience", (1,), (), dim=0)
 
 
 def test_validation_ties_keys_to_kind():
@@ -407,6 +406,9 @@ def test_protocol_from_json_rejects_malformed_input():
     d["transmissions"] = [{"sender": 1, "rows": []}]
     variants.append(d)
     d = dict(data)
+    d["transmissions"] = [{**data["transmissions"][0], "sender": True}]
+    variants.append(d)
+    d = dict(data)
     d["keys"] = "nope"
     variants.append(d)
     d = dict(data)
@@ -458,3 +460,38 @@ def test_protocol_json_matches_golden_digests():
         for name, p in built.items()
     }
     assert digests == GOLDEN_DIGESTS
+
+
+# sha256 over every synthesis outcome of the grid below, recorded before the
+# scalar and vector protocol types and the two synthesis paths were merged
+SYNTHESIS_GRID_DIGEST = "96aef01769ee740b3ef87261204e64ede1a4b4f28180ffdf8471906efab06899"
+
+
+def test_synthesis_grid_matches_golden_digest():
+    rng = random.Random(60)
+    fams = [
+        (f"random {i}", random_family(rng, rng.randint(1, 6), rng.randint(1, 7)))
+        for i in range(60)
+    ]
+    fams += [
+        ("pin:4", make_pin(4)),
+        ("pin:5", make_pin(5)),
+        ("gap:4", make_gap(4)),
+        ("gap:6", make_gap(6)),
+        ("cyclic15", make_cyclic15()),
+    ]
+    h = hashlib.sha256()
+    for name, fam in fams:
+        for seed in (0, 1):
+            for field in (None, 3, 4):
+                for what in ("omniscience", 1, 2):
+                    try:
+                        if what == "omniscience":
+                            proto = synth_omniscience(fam, seed, field)
+                        else:
+                            proto = synth_sk(fam, what, seed, field)
+                        out = protocol_to_json(proto)
+                    except (InfeasibleError, InputFormatError, SynthesisExhaustedError) as exc:
+                        out = f"{type(exc).__name__}: {exc}\n"
+                    h.update(f"{name} seed={seed} field={field} {what}\n{out}".encode())
+    assert h.hexdigest() == SYNTHESIS_GRID_DIGEST
