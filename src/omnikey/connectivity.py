@@ -17,7 +17,7 @@ from typing import Iterator, Sequence
 
 from .errors import InfeasibleError, InputFormatError, SizeGuardError
 from .network import Hypergraph, MessageFamily
-from .omniscience import _decision_keep, _family_tables
+from .omniscience import broadcasts_at_most
 
 __all__ = [
     "InducedMultigraph",
@@ -274,5 +274,4 @@ def is_inherently_connected(fam: MessageFamily, tau: int) -> bool:
     tau message-sized secrets survive every partition of the clients."""
     if tau < 1:
         raise InputFormatError("tau must be positive")
-    tables = _family_tables(fam)
-    return _decision_keep(tables, tables.full_msgs, fam.m - tau)
+    return broadcasts_at_most(fam, fam.m - tau)

@@ -5,7 +5,12 @@ as many broadcasts from inside S as there are messages nobody outside S
 holds.  The smallest integer allocation satisfying all 2^n - 2 subset
 constraints is found by branch and bound over per-client counts with
 lazily separated constraints; separation scans every subset against a
-union table built once per family (n <= 24).
+union table built once per family (n <= 24).  The table is one numpy
+array of shape (ceil(m/64), 2^n): row w holds, for every client subset,
+word w (messages 64w to 64w+63) of the union of its members' holdings,
+so every family size runs the same array code.  Only this module reads
+the table; the other layers call `min_broadcasts` and
+`broadcasts_at_most`, or `_decision_keep` for a message-filtered family.
 
 Ties between optimal allocations go to the lexicographically smallest
 vector.  `separate` reports the most violated subset, smallest client
@@ -17,7 +22,8 @@ a caller that never reads them never pays for them.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from functools import cached_property
+from functools import cached_property, reduce
+from operator import or_
 from typing import Iterable, Sequence
 from weakref import WeakKeyDictionary
 
@@ -36,8 +42,8 @@ __all__ = [
 ]
 
 SUBSET_GUARD_N = 24
-_NUMPY_MIN_N = 9
 _BIG = 1 << 30
+_WORD = (1 << 64) - 1
 
 
 @dataclass(frozen=True)
@@ -87,7 +93,8 @@ def demand(fam: MessageFamily, subset: Iterable[int]) -> int:
 
 
 class _Tables:
-    """Subset-indexed unions of holdings, shared by all solves on a family."""
+    """Subset-indexed unions of holdings, shared by all solves on a family:
+    `unions[w, s]` is word w of the union over the clients in subset s."""
 
     def __init__(self, fam: MessageFamily):
         if fam.n > SUBSET_GUARD_N:
@@ -95,93 +102,54 @@ class _Tables:
                 f"subset separation supports at most {SUBSET_GUARD_N} clients, got {fam.n}"
             )
         self.n = fam.n
-        self.m = fam.m
         self.masks = fam.masks
+        self.others = tuple(
+            reduce(or_, fam.masks[:j] + fam.masks[j + 1 :], 0) for j in range(fam.n)
+        )
         self.full_vars = (1 << fam.n) - 1
         self.full_msgs = (1 << fam.m) - 1
-        size = 1 << fam.n
-        if fam.n >= _NUMPY_MIN_N and fam.m <= 63:
-            arr = np.zeros(size, dtype=np.uint64)
-            for j in range(fam.n):
-                half = 1 << j
-                arr[half : 2 * half] = arr[:half] | np.uint64(fam.masks[j])
-            self.np_unions: np.ndarray | None = arr
-            self.py_unions: list[int] | None = None
-        else:
-            lst = [0] * size
-            for j in range(fam.n):
-                half = 1 << j
-                mj = fam.masks[j]
-                for s in range(half):
-                    lst[half + s] = lst[s] | mj
-            self.py_unions = lst
-            self.np_unions = None
+        self.unions = np.zeros((-(-fam.m // 64), 1 << fam.n), dtype=np.uint64)
+        for j, mask in enumerate(fam.masks):
+            half = 1 << j
+            np.bitwise_or(
+                self.unions[:, :half],
+                self._words(mask)[:, None],
+                out=self.unions[:, half : 2 * half],
+            )
 
-    def union_of(self, subset_mask: int) -> int:
-        if self.py_unions is not None:
-            return self.py_unions[subset_mask]
-        return int(self.np_unions[subset_mask])
+    def _words(self, bits: int) -> np.ndarray:
+        """A message bitmask as 64-message words, lowest first."""
+        return np.array(
+            [(bits >> (64 * w)) & _WORD for w in range(len(self.unions))], dtype=np.uint64
+        )
 
-    def need(self, keep: int, subset_mask: int) -> int:
-        """Constraint right-hand side for one subset under a message filter."""
-        outside = self.union_of(self.full_vars ^ subset_mask)
-        return keep.bit_count() - (outside & keep).bit_count()
+    def rhs_for(self, keep: int) -> np.ndarray:
+        """Right-hand sides for every subset index under a message filter."""
+        rhs = keep.bit_count()
+        for row, word in zip(self.unions, self._words(keep)):
+            rhs = rhs - np.bitwise_count(row[::-1] & word).astype(np.int64)
+        return rhs
 
-    def rhs_for(self, keep: int):
-        """Right-hand sides for every subset index (numpy array or list)."""
-        mk = keep.bit_count()
-        if self.np_unions is not None:
-            rev = self.np_unions[::-1]
-            pc = np.bitwise_count(rev & np.uint64(keep))
-            return mk - pc.astype(np.int64)
-        full = self.full_vars
-        u = self.py_unions
-        return [mk - (u[full ^ s] & keep).bit_count() for s in range(full + 1)]
+    def _subset_sums(self, alloc: Sequence[int]) -> np.ndarray:
+        asum = np.zeros(self.full_vars + 1, dtype=np.int64)
+        for j, aj in enumerate(alloc):
+            half = 1 << j
+            np.add(asum[:half], aj, out=asum[half : 2 * half])
+        return asum
 
     def most_violated(self, alloc: Sequence[int], rhs) -> tuple[int, int] | None:
         """(subset_mask, need) with the largest shortfall, or None if feasible."""
-        full = self.full_vars
-        if self.np_unions is not None:
-            asum = np.zeros(full + 1, dtype=np.int64)
-            for j, aj in enumerate(alloc):
-                half = 1 << j
-                asum[half : 2 * half] = asum[:half] + aj
-            diff = rhs - asum
-            diff[0] = -1
-            diff[full] = -1
-            idx = int(np.argmax(diff))
-            if diff[idx] <= 0:
-                return None
-            return idx, int(rhs[idx])
-        asum = [0] * (full + 1)
-        for j, aj in enumerate(alloc):
-            half = 1 << j
-            for s in range(half):
-                asum[half + s] = asum[s] + aj
-        best_mask, best_viol = -1, 0
-        for s in range(1, full):
-            v = rhs[s] - asum[s]
-            if v > best_viol:
-                best_viol, best_mask = v, s
-        if best_mask < 0:
+        diff = rhs - self._subset_sums(alloc)
+        diff[0] = -1
+        diff[self.full_vars] = -1
+        idx = int(np.argmax(diff))
+        if diff[idx] <= 0:
             return None
-        return best_mask, rhs[best_mask]
+        return idx, int(rhs[idx])
 
     def tight_masks(self, alloc: Sequence[int], rhs) -> list[int]:
-        full = self.full_vars
-        if self.np_unions is not None:
-            asum = np.zeros(full + 1, dtype=np.int64)
-            for j, aj in enumerate(alloc):
-                half = 1 << j
-                asum[half : 2 * half] = asum[:half] + aj
-            eq = np.nonzero(asum == rhs)[0]
-            return [int(s) for s in eq if 0 < s < full]
-        asum = [0] * (full + 1)
-        for j, aj in enumerate(alloc):
-            half = 1 << j
-            for s in range(half):
-                asum[half + s] = asum[s] + aj
-        return [s for s in range(1, full) if asum[s] == rhs[s]]
+        eq = np.nonzero(self._subset_sums(alloc) == rhs)[0]
+        return [int(s) for s in eq if 0 < s < self.full_vars]
 
 
 _table_cache: "WeakKeyDictionary[MessageFamily, _Tables]" = WeakKeyDictionary()
@@ -310,12 +278,18 @@ def _quick_lb(masks: list[int], needs: list[int], n: int) -> int:
 
 
 def _seed_constraints(tables: _Tables, keep: int) -> dict[int, int]:
-    """Singleton and co-singleton constraints with positive need."""
+    """Singleton and co-singleton constraints with positive need, read from
+    each client's holdings and the union of everyone else's."""
     seeds: dict[int, int] = {}
+    size = keep.bit_count()
     for j in range(tables.n):
-        for mask in (1 << j, tables.full_vars ^ (1 << j)):
-            if 0 < mask < tables.full_vars and mask not in seeds:
-                nd = tables.need(keep, mask)
+        single = 1 << j
+        for mask, outside in (
+            (single, tables.others[j]),
+            (tables.full_vars ^ single, tables.masks[j]),
+        ):
+            if mask not in seeds:
+                nd = size - (outside & keep).bit_count()
                 if nd > 0:
                     seeds[mask] = nd
     return seeds
@@ -345,13 +319,15 @@ def _optimize_keep(tables: _Tables, keep: int):
         needs.append(nd)
 
 
-def _decision_keep(tables: _Tables, keep: int, budget: int) -> bool:
-    """True iff the filtered instance admits omniscience within `budget`."""
+def _decision_keep(fam: MessageFamily, keep: int, budget: int) -> bool:
+    """True iff the family filtered to `keep` message positions admits
+    omniscience within `budget`."""
+    n = fam.n
+    if n == 1:
+        return budget >= 0
+    tables = _family_tables(fam)
     if budget < 0:
         return False
-    n = tables.n
-    if n == 1:
-        return True
     seeds = _seed_constraints(tables, keep)
     masks = list(seeds)
     needs = [seeds[mk] for mk in masks]
@@ -395,10 +371,7 @@ def min_broadcasts(fam: MessageFamily) -> OmniscienceResult:
 
 def broadcasts_at_most(fam: MessageFamily, budget: int) -> bool:
     """Decision form of `min_broadcasts`, cheaper when only a bound matters."""
-    if fam.n == 1:
-        return budget >= 0
-    tables = _family_tables(fam)
-    return _decision_keep(tables, tables.full_msgs, budget)
+    return _decision_keep(fam, (1 << fam.m) - 1, budget)
 
 
 def separate(fam: MessageFamily, allocation: Sequence[int]) -> frozenset[int] | None:

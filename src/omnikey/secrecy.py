@@ -17,13 +17,8 @@ from dataclasses import dataclass
 from itertools import combinations
 
 from .errors import InfeasibleError, InputFormatError
-from .network import MessageFamily
-from .omniscience import (
-    _decision_keep,
-    _family_tables,
-    _optimize_keep,
-    min_broadcasts,
-)
+from .network import MessageFamily, to_hypergraph
+from .omniscience import _decision_keep, broadcasts_at_most, min_broadcasts
 
 __all__ = [
     "max_keys",
@@ -52,8 +47,7 @@ def sk_feasible(fam: MessageFamily, tau: int) -> bool:
         raise InputFormatError("tau must be nonnegative")
     if tau == 0:
         return True
-    tables = _family_tables(fam)
-    return _decision_keep(tables, tables.full_msgs, fam.m - tau)
+    return broadcasts_at_most(fam, fam.m - tau)
 
 
 def is_critical(fam: MessageFamily, tau: int) -> bool:
@@ -61,13 +55,12 @@ def is_critical(fam: MessageFamily, tau: int) -> bool:
     message loses one: no message is dead weight."""
     if tau < 1:
         raise InputFormatError("tau must be positive")
-    tables = _family_tables(fam)
-    total, _ = _optimize_keep(tables, tables.full_msgs)
+    total = min_broadcasts(fam).total
     if fam.m - total != tau:
         return False
+    full = (1 << fam.m) - 1
     for i in range(fam.m):
-        keep = tables.full_msgs ^ (1 << i)
-        if _decision_keep(tables, keep, total - 1):
+        if _decision_keep(fam, full ^ (1 << i), total - 1):
             return False
     return True
 
@@ -82,9 +75,8 @@ def _support_search(
 ) -> tuple[int, ...] | None:
     """Lexicographically first minimum-size message subset (as positions)
     that still supports tau keys, scanning sizes upward from `start`."""
-    tables = _family_tables(fam)
     n, m = fam.n, fam.m
-    holder = _holder_masks(fam)
+    holder = to_hypergraph(fam).edge_masks
     degrees = [mask.bit_count() for mask in holder]
     weight = sorted((d - 1 for d in degrees), reverse=True)
     floor = tau * (n - 1)
@@ -108,23 +100,9 @@ def _support_search(
                 keep |= 1 << i
             if max((mk & keep).bit_count() for mk in client_masks) < tau:
                 continue
-            if _decision_keep(tables, keep, budget):
+            if _decision_keep(fam, keep, budget):
                 return combo
     return None
-
-
-def _holder_masks(fam: MessageFamily) -> list[int]:
-    cached = getattr(fam, "_holder_masks_cache", None)
-    if cached is None:
-        cached = [0] * fam.m
-        for j, mask in enumerate(fam.masks):
-            rest = mask
-            while rest:
-                low = rest & -rest
-                cached[low.bit_length() - 1] |= 1 << j
-                rest ^= low
-        object.__setattr__(fam, "_holder_masks_cache", cached)
-    return cached
 
 
 def min_key_support(fam: MessageFamily, tau: int) -> tuple[int, ...] | None:

@@ -64,6 +64,22 @@ def brute_tight_sets(fam: MessageFamily, alloc):
     return tuple(tight)
 
 
+def brute_most_violated(fam: MessageFamily, alloc):
+    """Client subset (1-based ids) whose cut constraint `alloc` misses by
+    the most, smallest bitmask on ties, or None when `alloc` is feasible."""
+    n = fam.n
+    worst, worst_bits = 0, None
+    for bits in range(1, (1 << n) - 1):
+        senders = [j for j in range(n) if bits >> j & 1]
+        rest = [j for j in range(n) if not bits >> j & 1]
+        short = fam.m - union_size(fam, rest) - sum(alloc[j] for j in senders)
+        if short > worst:
+            worst, worst_bits = short, bits
+    if worst_bits is None:
+        return None
+    return frozenset(j + 1 for j in range(n) if worst_bits >> j & 1)
+
+
 def brute_restrict_total(fam: MessageFamily, keep) -> int:
     """Minimum broadcast total for the subfamily on the kept messages."""
     kept = sorted(keep)

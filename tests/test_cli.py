@@ -416,3 +416,28 @@ def test_non_integer_support_entry_exits_two(tmp_path, capsys):
         code, _, err = run(capsys, "verify", "--protocol", str(crafted), "--preset", "pin:4")
         assert code == 2, bad
         assert "support" in err
+
+
+def test_huge_message_count_with_empty_support_exits_two_at_once(tmp_path, capsys):
+    # an empty support used to be filled with one label per message before
+    # anything bounded the message count
+    good = tmp_path / "omni.json"
+    run(capsys, "protocol", "--preset", "pin:3", "-o", str(good))
+    data = json.loads(good.read_text())
+    crafted = tmp_path / "crafted.json"
+    crafted.write_text(
+        json.dumps({**data, "messages": 10**12, "transmissions": [], "support": []})
+    )
+    started = time.perf_counter()
+    code, _, err = run(capsys, "verify", "--protocol", str(crafted), "--preset", "pin:3")
+    assert code == 2
+    assert "support" in err
+    assert time.perf_counter() - started < 1.0
+
+
+def test_oversized_split_protocol_exits_three_at_once(capsys):
+    started = time.perf_counter()
+    code, _, err = run(capsys, "protocol", "--gap", "1000")
+    assert code == 3
+    assert "too large" in err
+    assert time.perf_counter() - started < 1.0

@@ -5,9 +5,9 @@ import random
 
 import pytest
 
-import omnikey.omniscience as omn
 from omnikey import (
     MessageFamily,
+    OmniscienceResult,
     allocation_feasible,
     broadcasts_at_most,
     demand,
@@ -22,6 +22,7 @@ from omnikey.errors import InputFormatError, SizeGuardError
 from conftest import (
     brute_feasible,
     brute_min_broadcasts,
+    brute_most_violated,
     brute_tight_sets,
     random_family,
     union_size,
@@ -93,22 +94,29 @@ def test_matches_brute_force_on_random_families():
         assert res.allocation == want_vec, fam.holdings
 
 
-def test_numpy_and_python_engines_agree():
-    sizes = [3, 4, 5, 6, 7]
-    results = []
-    for threshold in (9, 99):
-        rng = random.Random(33)
-        omn._NUMPY_MIN_N = threshold
-        try:
-            batch = []
-            for m in sizes:
-                fam = random_family(rng, 9, m)
+def test_multi_word_families_match_brute_force():
+    # 64, 65 and 129 messages fill one, two and three words of the union table
+    rng = random.Random(64)
+    for m in (64, 65, 129):
+        for n in range(2, 9):
+            fam = random_family(rng, n, m)
+            for _ in range(4):
+                alloc = [rng.randint(0, m // 2) for _ in range(n)]
+                assert separate(fam, alloc) == brute_most_violated(fam, alloc)
+                assert allocation_feasible(fam, alloc) == brute_feasible(fam, alloc)
+            # raise the last allocation until it is feasible, so that some
+            # of its constraints hold with equality
+            while (worst := brute_most_violated(fam, alloc)) is not None:
+                alloc[min(worst) - 1] += demand(fam, worst) - sum(alloc[j - 1] for j in worst)
+            res = OmniscienceResult(sum(alloc), tuple(alloc), fam)
+            assert res.tight_sets == brute_tight_sets(fam, alloc)
+            if n <= 5:
                 res = min_broadcasts(fam)
-                batch.append((res.total, res.allocation))
-        finally:
-            omn._NUMPY_MIN_N = 9
-        results.append(batch)
-    assert results[0] == results[1]
+                assert res.tight_sets == brute_tight_sets(fam, res.allocation)
+                assert brute_feasible(fam, res.allocation)
+        fam = random_family(rng, 2, m)
+        res = min_broadcasts(fam)
+        assert (res.total, res.allocation) == brute_min_broadcasts(fam)
 
 
 def test_allocation_feasible_matches_brute():

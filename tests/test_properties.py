@@ -13,10 +13,12 @@ from hypothesis import strategies as st
 
 from omnikey import (
     MessageFamily,
+    demand,
     max_keys,
     min_broadcasts,
     protocol_from_json,
     protocol_to_json,
+    restrict,
     split_gap_protocol,
     synth_chain,
     synth_omniscience,
@@ -24,17 +26,18 @@ from omnikey import (
 )
 from omnikey.errors import InfeasibleError, SynthesisExhaustedError
 from omnikey.fields import Matrix, rank
+from omnikey.omniscience import _family_tables
 from omnikey.oracle import _determines
 
 from conftest import brute_tight_sets, reference_determines
 
 
 @st.composite
-def families(draw) -> MessageFamily:
-    """Families of at most 7 clients and 6 messages, where each message
-    has a nonempty, drawn set of holders."""
-    n = draw(st.integers(1, 7))
-    m = draw(st.integers(1, 6))
+def families(draw, max_n: int = 7, max_m: int = 6) -> MessageFamily:
+    """Families of at most `max_n` clients and `max_m` messages, where each
+    message has a nonempty, drawn set of holders."""
+    n = draw(st.integers(1, max_n))
+    m = draw(st.integers(1, max_m))
     holders = draw(st.lists(st.integers(1, (1 << n) - 1), min_size=m, max_size=m))
     masks = tuple(
         sum(1 << i for i, h in enumerate(holders) if h >> j & 1) for j in range(n)
@@ -47,6 +50,19 @@ def families(draw) -> MessageFamily:
 def test_tight_sets_match_brute_force(fam):
     res = min_broadcasts(fam)
     assert res.tight_sets == brute_tight_sets(fam, res.allocation)
+
+
+@settings(deadline=None, max_examples=200)
+@given(st.data())
+def test_subset_rhs_matches_restricted_demand(data):
+    # up to 140 messages: one to three words of the union table
+    fam = data.draw(families(max_n=6, max_m=140))
+    kept = data.draw(st.lists(st.booleans(), min_size=fam.m, max_size=fam.m).filter(any))
+    keep = sum(1 << i for i, bit in enumerate(kept) if bit)
+    sub = restrict(fam, [i + 1 for i, bit in enumerate(kept) if bit])
+    rhs = _family_tables(fam).rhs_for(keep)
+    for s in range(1, (1 << fam.n) - 1):
+        assert rhs[s] == demand(sub, [j + 1 for j in range(fam.n) if s >> j & 1])
 
 
 @settings(deadline=None, max_examples=300)

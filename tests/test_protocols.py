@@ -2,6 +2,7 @@ from __future__ import annotations
 
 import hashlib
 import random
+import time
 
 import pytest
 
@@ -34,6 +35,7 @@ from omnikey import (
 from omnikey.errors import (
     InfeasibleError,
     InputFormatError,
+    SizeGuardError,
     SynthesisExhaustedError,
 )
 
@@ -303,6 +305,14 @@ def test_split_gap_protocol_shapes():
             split_gap_protocol(bad)
 
 
+def test_split_gap_protocol_refuses_large_m_at_once():
+    started = time.perf_counter()
+    for m in (26, 1000, 10**12):
+        with pytest.raises(SizeGuardError):
+            split_gap_protocol(m)
+    assert time.perf_counter() - started < 1.0
+
+
 def test_split_gap_vector_key_agreement():
     proto = split_gap_protocol(4)
     fam = make_gap(4)
@@ -413,6 +423,9 @@ def test_protocol_from_json_rejects_malformed_input():
     variants.append(d)
     d = dict(data)
     d["kind"] = "banana"
+    variants.append(d)
+    d = dict(data)
+    d["support"] = []
     variants.append(d)
     for v in variants:
         with pytest.raises(InputFormatError):
