@@ -157,10 +157,12 @@ class Hypergraph:
 
 def to_hypergraph(fam: MessageFamily) -> Hypergraph:
     """Hyperedge e = set of clients holding message e; exact dual of the family."""
-    edges = []
-    for pos in range(fam.m):
-        bit = 1 << pos
-        edges.append(sum(1 << j for j in range(fam.n) if fam.masks[j] & bit))
+    edges = [0] * fam.m
+    for j, mask in enumerate(fam.masks):
+        while mask:
+            low = mask & -mask
+            edges[low.bit_length() - 1] |= 1 << j
+            mask ^= low
     return Hypergraph(fam.n, tuple(edges), fam.labels)
 
 
