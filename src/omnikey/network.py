@@ -13,7 +13,7 @@ from dataclasses import dataclass, field
 from itertools import combinations
 from typing import Iterable, Sequence
 
-from .errors import InputFormatError
+from .errors import InputFormatError, SizeGuardError
 
 __all__ = [
     "MessageFamily",
@@ -219,14 +219,25 @@ def make_cyclic15() -> MessageFamily:
     return MessageFamily.from_holdings(15, 15, holdings)
 
 
+# The pair-holder family has m(m-1)/2 + 1 clients, so it grows as m^2
+# clients of m bits each; bounded before anything is built.  The split
+# protocol over it shares the bound.
+GAP_GUARD_M = 24
+
+
 def make_gap(m: int) -> MessageFamily:
     """Family separating general protocols from scalar-linear ones.
 
     For even m >= 4: client 1 holds every message, and one client per
     unordered pair {i, j} (in lexicographic order) holds exactly that pair.
+    Sizes above GAP_GUARD_M are refused with SizeGuardError.
     """
     if m < 4 or m % 2:
         raise InputFormatError("gap construction needs an even message count >= 4")
+    if m > GAP_GUARD_M:
+        raise SizeGuardError(
+            f"the pair-holder family supports at most {GAP_GUARD_M} messages, got {m}"
+        )
     holdings: list[list[int]] = [list(range(1, m + 1))]
     for a, b in combinations(range(1, m + 1), 2):
         holdings.append([a, b])

@@ -139,7 +139,8 @@ class _Tables:
 
     def most_violated(self, alloc: Sequence[int], rhs) -> tuple[int, int] | None:
         """(subset_mask, need) with the largest shortfall, or None if feasible."""
-        diff = rhs - self._subset_sums(alloc)
+        diff = self._subset_sums(alloc)
+        np.subtract(rhs, diff, out=diff)
         diff[0] = -1
         diff[self.full_vars] = -1
         idx = int(np.argmax(diff))

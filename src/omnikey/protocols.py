@@ -38,7 +38,7 @@ from .fields import (
     rref,
     solve_combination,
 )
-from .network import MessageFamily, make_gap, restrict
+from .network import GAP_GUARD_M, MessageFamily, make_gap, restrict
 from .omniscience import min_broadcasts
 from .secrecy import min_key_support
 
@@ -59,9 +59,6 @@ __all__ = [
 ]
 
 _MAX_ATTEMPTS = 64
-# split_gap_protocol checks all m(m-1)/2 + 1 clients algebraically: about
-# 4 s at m = 24 on a 2-vCPU machine, tripling every four messages.
-_SPLIT_GUARD_M = 24
 _TRIES_PER_FIELD = 8
 
 _KINDS = ("omniscience", "secret-key")
@@ -487,12 +484,15 @@ def split_gap_protocol(m: int) -> LinearProtocol:
     derived symbols turns the broadcasts into evaluations of one low-degree
     polynomial, so any client holding two messages can interpolate the rest
     and rebuild the key from m/2 - 1 vector transmissions instead of m - 2
-    scalar ones.  Sizes above 24 are refused with SizeGuardError."""
+    scalar ones.  Sizes above GAP_GUARD_M (24) are refused with
+    SizeGuardError."""
     if m < 4 or m % 2:
         raise InputFormatError("the pair-holder family needs an even m of at least 4")
-    if m > _SPLIT_GUARD_M:
+    # checking all m(m-1)/2 + 1 clients algebraically takes about 4 s at
+    # m = 24 on a 2-vCPU machine, tripling every four messages
+    if m > GAP_GUARD_M:
         raise SizeGuardError(
-            f"the split construction supports at most {_SPLIT_GUARD_M} messages, got {m}"
+            f"the split construction supports at most {GAP_GUARD_M} messages, got {m}"
         )
     field = make_field(2, 2) if m == 4 else next(_field_ladder(m - 1))
     n = m * (m - 1) // 2 + 1

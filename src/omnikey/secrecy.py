@@ -7,14 +7,25 @@ transmissions never needs the whole family; it suffices to run omniscience
 on the smallest message subset that still supports tau keys, paying its
 size minus tau.  Minimum set cover embeds into that subset search, which
 is why no polynomial shortcut is known.
+
+The search stays exact and exhaustive, but it walks each size's
+combinations depth-first over ascending message positions, which is
+their lexicographic order.  A combination can only support tau keys if
+its holders cover every client and its weight sum(d_i - 1) over holder
+counts d_i reaches tau*(n-1).  The walk carries the prefix weight and
+holder union and cuts a branch, with all later siblings, once the
+heaviest remaining positions or all remaining holders cannot reach those
+floors.  Each surviving combination then meets the same checks and
+omniscience decisions, in the same order, as a plain scan would.
 """
 
 from __future__ import annotations
 
 import json
 import math
+from bisect import insort
 from dataclasses import dataclass
-from itertools import combinations
+from itertools import accumulate
 
 from .errors import InfeasibleError, InputFormatError
 from .network import MessageFamily, to_hypergraph
@@ -70,38 +81,93 @@ def is_critical(fam: MessageFamily, tau: int) -> bool:
 # ---------------------------------------------------------------------------
 
 
+class _Walk:
+    """What the depth-first support walk reads at every node.
+
+    `weight[i]` is one less than the number of holders of message i and
+    `holder[i]` is the client mask holding it.  `reach[i]` is the union of
+    the holders of positions >= i, and `best[i][k]` sums the k largest
+    weights among positions >= i for k up to the size being walked; both
+    only shrink as i grows."""
+
+    __slots__ = ("fam", "tau", "floor", "full", "weight", "holder", "reach", "best")
+
+    def __init__(self, fam: MessageFamily, tau: int):
+        holder = to_hypergraph(fam).edge_masks
+        self.fam = fam
+        self.tau = tau
+        self.floor = tau * (fam.n - 1)
+        self.full = (1 << fam.n) - 1
+        self.weight = [mask.bit_count() - 1 for mask in holder]
+        self.holder = holder
+        reach = [0]
+        for mask in reversed(holder):
+            reach.append(reach[-1] | mask)
+        self.reach = reach[::-1]
+        self.best: list[list[int]] = []
+
+    def resize(self, size: int) -> None:
+        """Rebuild `best` for combinations of `size` positions: m rows of
+        at most size + 1 sums, so a large family with a small support
+        never pays for an m x m table."""
+        best = [[0]]
+        tail: list[int] = []  # the heaviest weights seen, negated and ascending
+        for weight in reversed(self.weight):
+            insort(tail, -weight)
+            if len(tail) > size:
+                tail.pop()
+            best.append([0, *accumulate(-t for t in tail)])
+        self.best = best[::-1]
+
+
+def _walk(
+    w: _Walk, budget: int, start: int, left: int, weight: int, holders: int, keep: int
+) -> int:
+    """Kept-position mask of the first combination, in lexicographic order,
+    that extends `keep` by `left` positions >= `start` and supports the
+    walk's tau keys within `budget` broadcasts; 0 if none does.
+
+    A branch is cut, with every later sibling, once even the heaviest
+    remaining positions cannot reach the weight floor or the remaining
+    holders cannot complete the client cover."""
+    best, reach, floor, full = w.best, w.reach, w.floor, w.full
+    for i in range(start, w.fam.m - left + 1):
+        if weight + best[i][left] < floor or holders | reach[i] != full:
+            return 0
+        grown = weight + w.weight[i]
+        covered = holders | w.holder[i]
+        kept = keep | 1 << i
+        if left > 1:
+            found = _walk(w, budget, i + 1, left - 1, grown, covered, kept)
+            if found:
+                return found
+        elif (
+            covered == full
+            and grown >= floor
+            and max((mk & kept).bit_count() for mk in w.fam.masks) >= w.tau
+            and _decision_keep(w.fam, kept, budget)
+        ):
+            return kept
+    return 0
+
+
 def _support_search(
     fam: MessageFamily, tau: int, start: int
 ) -> tuple[int, ...] | None:
     """Lexicographically first minimum-size message subset (as positions)
-    that still supports tau keys, scanning sizes upward from `start`."""
-    n, m = fam.n, fam.m
-    holder = to_hypergraph(fam).edge_masks
-    degrees = [mask.bit_count() for mask in holder]
-    weight = sorted((d - 1 for d in degrees), reverse=True)
-    floor = tau * (n - 1)
-    client_masks = fam.masks
-    for size in range(max(start, tau), m + 1):
-        if sum(weight[:size]) < floor:
-            continue
-        budget = size - tau
-        for combo in combinations(range(m), size):
-            holders = 0
-            degsum = 0
-            for i in combo:
-                holders |= holder[i]
-                degsum += degrees[i]
-            if holders != (1 << n) - 1:
-                continue
-            if n > 1 and -(-(n * size - degsum) // (n - 1)) > budget:
-                continue
-            keep = 0
-            for i in combo:
-                keep |= 1 << i
-            if max((mk & keep).bit_count() for mk in client_masks) < tau:
-                continue
-            if _decision_keep(fam, keep, budget):
-                return combo
+    that still supports tau keys, scanning sizes upward from `start`.
+
+    A combination of `size` messages can only support tau keys if its
+    holders cover every client and the degree floor
+    ceil((n*size - degsum)/(n-1)) <= size - tau holds, which is exactly
+    sum(d_i - 1) >= tau*(n-1); the walk prunes on both before it asks
+    for the omniscience decision."""
+    w = _Walk(fam, tau)
+    for size in range(max(start, tau), fam.m + 1):
+        w.resize(size)
+        keep = _walk(w, size - tau, 0, size, 0, 0, 0)
+        if keep:
+            return tuple(i for i in range(fam.m) if keep >> i & 1)
     return None
 
 

@@ -14,7 +14,8 @@ from math import inf
 
 import numpy as np
 
-from omnikey import MessageFamily
+from omnikey import MessageFamily, omniscience
+from omnikey.network import to_hypergraph
 
 
 def union_size(fam: MessageFamily, clients) -> int:
@@ -106,6 +107,39 @@ def brute_sk_cost(fam: MessageFamily, tau: int):
             if brute_restrict_total(fam, combo) <= size - tau:
                 return size - tau, combo
     return inf, None
+
+
+def reference_support_search(fam: MessageFamily, tau: int, start: int):
+    """The support search as one loop over every combination of each size:
+    the same floors and decision calls as `secrecy._support_search`, in
+    the same order, without pruning whole branches."""
+    n, m = fam.n, fam.m
+    holder = to_hypergraph(fam).edge_masks
+    degrees = [mask.bit_count() for mask in holder]
+    weight = sorted((d - 1 for d in degrees), reverse=True)
+    floor = tau * (n - 1)
+    for size in range(max(start, tau), m + 1):
+        if sum(weight[:size]) < floor:
+            continue
+        budget = size - tau
+        for combo in itertools.combinations(range(m), size):
+            holders = 0
+            degsum = 0
+            for i in combo:
+                holders |= holder[i]
+                degsum += degrees[i]
+            if holders != (1 << n) - 1:
+                continue
+            if n > 1 and -(-(n * size - degsum) // (n - 1)) > budget:
+                continue
+            keep = 0
+            for i in combo:
+                keep |= 1 << i
+            if max((mk & keep).bit_count() for mk in fam.masks) < tau:
+                continue
+            if omniscience._decision_keep(fam, keep, budget):
+                return combo
+    return None
 
 
 def brute_max_keys(fam: MessageFamily) -> int:

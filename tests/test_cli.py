@@ -441,3 +441,17 @@ def test_oversized_split_protocol_exits_three_at_once(capsys):
     assert code == 3
     assert "too large" in err
     assert time.perf_counter() - started < 1.0
+
+
+def test_oversized_gap_family_exits_three_at_once(tmp_path, capsys):
+    pfile = tmp_path / "gap4.json"
+    assert run(capsys, "protocol", "--gap", "4", "-o", str(pfile))[0] == 0
+    for argv in (
+        ("analyze", "--preset", "gap:4000"),
+        ("verify", "--protocol", str(pfile), "--gap", "4000"),
+    ):
+        started = time.perf_counter()
+        code, _, err = run(capsys, *argv)
+        assert code == 3
+        assert "too large" in err
+        assert time.perf_counter() - started < 1.0

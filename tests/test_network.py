@@ -15,7 +15,8 @@ from omnikey import (
     restrict,
     to_hypergraph,
 )
-from omnikey.errors import InputFormatError
+from omnikey.errors import InputFormatError, SizeGuardError
+from omnikey.network import GAP_GUARD_M
 
 from conftest import random_family
 
@@ -173,6 +174,9 @@ def test_gap_family_shape():
     for bad in (3, 5, 2):
         with pytest.raises(InputFormatError):
             make_gap(bad)
+    assert make_gap(GAP_GUARD_M).m == GAP_GUARD_M
+    with pytest.raises(SizeGuardError):
+        make_gap(GAP_GUARD_M + 2)
 
 
 def test_label_positions():

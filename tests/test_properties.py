@@ -16,6 +16,7 @@ from omnikey import (
     demand,
     max_keys,
     min_broadcasts,
+    min_key_support,
     protocol_from_json,
     protocol_to_json,
     restrict,
@@ -29,7 +30,7 @@ from omnikey.fields import Matrix, rank
 from omnikey.omniscience import _family_tables
 from omnikey.oracle import _determines
 
-from conftest import brute_tight_sets, reference_determines
+from conftest import brute_sk_cost, brute_tight_sets, reference_determines
 
 
 @st.composite
@@ -50,6 +51,13 @@ def families(draw, max_n: int = 7, max_m: int = 6) -> MessageFamily:
 def test_tight_sets_match_brute_force(fam):
     res = min_broadcasts(fam)
     assert res.tight_sets == brute_tight_sets(fam, res.allocation)
+
+
+@settings(deadline=None, max_examples=60)
+@given(families(max_n=4, max_m=5))
+def test_min_key_support_matches_brute_force(fam):
+    for tau in range(1, fam.m + 1):
+        assert min_key_support(fam, tau) == brute_sk_cost(fam, tau)[1]
 
 
 @settings(deadline=None, max_examples=200)

@@ -1,8 +1,11 @@
 from __future__ import annotations
 
+import gc
 import json
 import math
 import random
+import tracemalloc
+import weakref
 
 import pytest
 
@@ -23,9 +26,17 @@ from omnikey import (
     restrict,
     sk_feasible,
 )
+from omnikey import omniscience, secrecy
 from omnikey.errors import InfeasibleError, InputFormatError
+from omnikey.secrecy import SetCoverInstance, _support_search
 
-from conftest import brute_max_keys, brute_set_cover, brute_sk_cost, random_family
+from conftest import (
+    brute_max_keys,
+    brute_set_cover,
+    brute_sk_cost,
+    random_family,
+    reference_support_search,
+)
 
 
 def test_max_keys_known_families():
@@ -116,6 +127,76 @@ def test_cost_matches_brute_force():
                 assert got is None
             else:
                 assert got == want_support
+
+
+def random_cover_family(rng: random.Random, elements: int, nsets: int) -> MessageFamily:
+    """Set cover reduction of random sets of 3 to 7 elements, each element
+    then added to one more random set so that the sets cover."""
+    universe = tuple(range(1, elements + 1))
+    sets = [set(rng.sample(universe, rng.randint(3, 7))) for _ in range(nsets)]
+    for u in universe:
+        rng.choice(sets).add(u)
+    return reduce_set_cover(SetCoverInstance(universe, tuple(map(frozenset, sets))))
+
+
+def support_search_cases():
+    """(family, tau) pairs: seeded 6x16 families and three presets at every
+    feasible key count, and set cover reductions at one key."""
+    rng = random.Random(26)
+    fams = [random_family(rng, 6, 16) for _ in range(8)]
+    fams += [make_cyclic15(), make_pin(7), make_gap(6)]
+    for fam in fams:
+        for tau in range(1, max_keys(fam) + 1):
+            yield fam, tau
+    for _ in range(3):
+        yield random_cover_family(rng, 20, 30), 1
+
+
+@pytest.fixture
+def decision_calls(monkeypatch):
+    """Counts `_decision_keep` calls made by either support search."""
+    calls = [0]
+    real = omniscience._decision_keep
+
+    def counted(fam, keep, budget):
+        calls[0] += 1
+        return real(fam, keep, budget)
+
+    monkeypatch.setattr(omniscience, "_decision_keep", counted)
+    monkeypatch.setattr(secrecy, "_decision_keep", counted)
+    return calls
+
+
+def test_support_walk_matches_combination_loop(decision_calls):
+    for fam, tau in support_search_cases():
+        # min_key_support starts at tau; build_report resumes past the
+        # previous support, so also start one size early
+        for start in (tau, max(1, tau - 1)):
+            decision_calls[0] = 0
+            want = reference_support_search(fam, tau, start)
+            want_calls = decision_calls[0]
+            decision_calls[0] = 0
+            assert _support_search(fam, tau, start) == want
+            assert decision_calls[0] == want_calls
+
+
+def test_support_search_leaves_no_reference_cycle():
+    # a cycle through the family would keep its union table alive until
+    # the cyclic collector runs
+    cached = len(omniscience._table_cache)
+    gc.disable()
+    try:
+        fam = make_cyclic15()
+        build_report(fam)
+        min_key_support(fam, 1)
+        fam_ref = weakref.ref(fam)
+        tables_ref = weakref.ref(omniscience._table_cache[fam])
+        del fam
+        assert fam_ref() is None
+        assert tables_ref() is None
+        assert len(omniscience._table_cache) == cached
+    finally:
+        gc.enable()
 
 
 def test_infeasible_tau_costs_infinity():
@@ -240,3 +321,17 @@ def test_uncoverable_instance_raises():
     )
     with pytest.raises(InfeasibleError):
         minimum_cover(inst)
+
+
+def test_many_sets_with_one_covering_set_stay_small():
+    # the walk's weight bounds grow with the support size, not with the
+    # square of the set count (an m x m table would take about 150 MB here)
+    sets = [[1, 2, 3]] + [[1]] * 2999
+    inst = parse_set_cover(json.dumps({"universe": [1, 2, 3], "sets": sets}))
+    tracemalloc.start()
+    try:
+        assert minimum_cover(inst) == (1,)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 16 * 2**20
