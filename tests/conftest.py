@@ -14,8 +14,7 @@ from math import inf
 
 import numpy as np
 
-from omnikey import MessageFamily, omniscience
-from omnikey.network import to_hypergraph
+from omnikey import MessageFamily, omniscience, to_hypergraph
 
 
 def union_size(fam: MessageFamily, clients) -> int:

@@ -21,12 +21,13 @@ from omnikey import (
     min_broadcasts,
     min_key_support,
     minimum_cover,
+    omniscience,
     parse_set_cover,
     reduce_set_cover,
     restrict,
+    secrecy,
     sk_feasible,
 )
-from omnikey import omniscience, secrecy
 from omnikey.errors import InfeasibleError, InputFormatError
 from omnikey.secrecy import SetCoverInstance, _support_search
 
