@@ -23,9 +23,7 @@ from __future__ import annotations
 
 import json
 import math
-from bisect import insort
 from dataclasses import dataclass
-from itertools import accumulate
 
 from .errors import InfeasibleError, InputFormatError
 from .network import MessageFamily, to_hypergraph
@@ -81,74 +79,112 @@ def is_critical(fam: MessageFamily, tau: int) -> bool:
 # ---------------------------------------------------------------------------
 
 
+class _TopSums(dict):
+    """Maps k * stride + i to the sum of the k heaviest weights among
+    positions >= i, filled in on first use.
+
+    `ge[i][v - 1]` counts the positions >= i of weight at least v, so the
+    k heaviest weights sum to sum(min(ge[i][v - 1], k)) over v >= 1."""
+
+    __slots__ = ("stride", "ge")
+
+    def __init__(self, stride: int, ge: list[tuple[int, ...]]):
+        super().__init__()
+        self.stride = stride
+        self.ge = ge
+
+    def __missing__(self, key: int) -> int:
+        k, i = divmod(key, self.stride)
+        total = self[key] = sum(g if g < k else k for g in self.ge[i])
+        return total
+
+
 class _Walk:
-    """What the depth-first support walk reads at every node.
+    """The depth-first support walk over one family.
 
     `weight[i]` is one less than the number of holders of message i and
     `holder[i]` is the client mask holding it.  `reach[i]` is the union of
-    the holders of positions >= i, and `best[i][k]` sums the k largest
-    weights among positions >= i for k up to the size being walked; both
-    only shrink as i grows."""
+    the holders of positions >= i and `ge` feeds the heaviest-weight sums;
+    none of them depends on tau, so one walk serves every key count."""
 
-    __slots__ = ("fam", "tau", "floor", "full", "weight", "holder", "reach", "best")
+    __slots__ = ("fam", "full", "weight", "holder", "reach", "ge")
 
-    def __init__(self, fam: MessageFamily, tau: int):
+    def __init__(self, fam: MessageFamily):
         holder = to_hypergraph(fam).edge_masks
         self.fam = fam
-        self.tau = tau
-        self.floor = tau * (fam.n - 1)
         self.full = (1 << fam.n) - 1
-        self.weight = [mask.bit_count() - 1 for mask in holder]
+        self.weight = weight = [mask.bit_count() - 1 for mask in holder]
         self.holder = holder
         reach = [0]
-        for mask in reversed(holder):
-            reach.append(reach[-1] | mask)
+        ge_row = [0] * max(weight, default=0)
+        ge = [tuple(ge_row)]
+        for i in reversed(range(fam.m)):
+            reach.append(reach[-1] | holder[i])
+            for v in range(weight[i]):
+                ge_row[v] += 1
+            ge.append(tuple(ge_row))
         self.reach = reach[::-1]
-        self.best: list[list[int]] = []
+        self.ge = ge[::-1]
 
-    def resize(self, size: int) -> None:
-        """Rebuild `best` for combinations of `size` positions: m rows of
-        at most size + 1 sums, so a large family with a small support
-        never pays for an m x m table."""
-        best = [[0]]
-        tail: list[int] = []  # the heaviest weights seen, negated and ascending
-        for weight in reversed(self.weight):
-            insort(tail, -weight)
-            if len(tail) > size:
-                tail.pop()
-            best.append([0, *accumulate(-t for t in tail)])
-        self.best = best[::-1]
+    def search(self, tau: int, start: int) -> tuple[int, ...] | None:
+        """Positions of the lexicographically first minimum-size message
+        subset that supports tau keys, scanning sizes upward from `start`.
 
-
-def _walk(
-    w: _Walk, budget: int, start: int, left: int, weight: int, holders: int, keep: int
-) -> int:
-    """Kept-position mask of the first combination, in lexicographic order,
-    that extends `keep` by `left` positions >= `start` and supports the
-    walk's tau keys within `budget` broadcasts; 0 if none does.
-
-    A branch is cut, with every later sibling, once even the heaviest
-    remaining positions cannot reach the weight floor or the remaining
-    holders cannot complete the client cover."""
-    best, reach, floor, full = w.best, w.reach, w.floor, w.full
-    for i in range(start, w.fam.m - left + 1):
-        if weight + best[i][left] < floor or holders | reach[i] != full:
-            return 0
-        grown = weight + w.weight[i]
-        covered = holders | w.holder[i]
-        kept = keep | 1 << i
-        if left > 1:
-            found = _walk(w, budget, i + 1, left - 1, grown, covered, kept)
-            if found:
-                return found
-        elif (
-            covered == full
-            and grown >= floor
-            and max((mk & kept).bit_count() for mk in w.fam.masks) >= w.tau
-            and _decision_keep(w.fam, kept, budget)
-        ):
-            return kept
-    return 0
+        For each size the walk descends over ascending positions with an
+        explicit stack of (next sibling, prefix weight, prefix holders,
+        prefix mask), so its depth is bounded by memory, not by the
+        interpreter's frame limit.  A position is cut, with every later
+        sibling, once even the heaviest remaining weights cannot reach
+        the floor tau*(n - 1) or the remaining holders cannot cover every
+        client.  `top[k * stride + i]` sums the k heaviest weights among
+        positions >= i; it holds only the pairs this search reaches, so
+        its memory follows the search's work, never m x m."""
+        fam, full, weights, holder, reach = (
+            self.fam, self.full, self.weight, self.holder, self.reach
+        )
+        floor = tau * (fam.n - 1)
+        stride = fam.m + 1
+        top = _TopSums(stride, self.ge)
+        for size in range(max(start, tau), fam.m + 1):
+            budget = size - tau
+            stack: list[tuple[int, int, int, int]] = []
+            i = weight = holders = keep = 0
+            left = size
+            last = fam.m - left
+            base = left * stride
+            while True:
+                if (
+                    i <= last
+                    and weight + top[base + i] >= floor
+                    and holders | reach[i] == full
+                ):
+                    if left > 1:
+                        stack.append((i + 1, weight, holders, keep))
+                        weight += weights[i]
+                        holders |= holder[i]
+                        keep |= 1 << i
+                        i += 1
+                        left -= 1
+                        last += 1
+                        base = left * stride
+                        continue
+                    kept = keep | 1 << i
+                    if (
+                        holders | holder[i] == full
+                        and weight + weights[i] >= floor
+                        and max((mk & kept).bit_count() for mk in fam.masks) >= tau
+                        and _decision_keep(fam, kept, budget)
+                    ):
+                        return tuple(j for j in range(fam.m) if kept >> j & 1)
+                    i += 1
+                elif stack:
+                    i, weight, holders, keep = stack.pop()
+                    left += 1
+                    last -= 1
+                    base = left * stride
+                else:
+                    break
+        return None
 
 
 def _support_search(
@@ -162,13 +198,7 @@ def _support_search(
     ceil((n*size - degsum)/(n-1)) <= size - tau holds, which is exactly
     sum(d_i - 1) >= tau*(n-1); the walk prunes on both before it asks
     for the omniscience decision."""
-    w = _Walk(fam, tau)
-    for size in range(max(start, tau), fam.m + 1):
-        w.resize(size)
-        keep = _walk(w, size - tau, 0, size, 0, 0, 0)
-        if keep:
-            return tuple(i for i in range(fam.m) if keep >> i & 1)
-    return None
+    return _Walk(fam).search(tau, start)
 
 
 def min_key_support(fam: MessageFamily, tau: int) -> tuple[int, ...] | None:
@@ -218,13 +248,15 @@ def build_report(fam: MessageFamily) -> SecrecyReport:
     """Cost table for every feasible key count.
 
     Supports only grow with tau, so each search resumes one past the
-    previous size instead of restarting from scratch."""
+    previous size instead of restarting from scratch, on one walk built
+    for the family."""
     res = min_broadcasts(fam)
     tmax = fam.m - res.total
     entries: list[KeyCostEntry] = []
+    walk = _Walk(fam)
     start = 1
     for tau in range(1, tmax + 1):
-        combo = _support_search(fam, tau, start)
+        combo = walk.search(tau, start)
         assert combo is not None
         entries.append(
             KeyCostEntry(tau, len(combo) - tau, tuple(fam.labels[i] for i in combo))

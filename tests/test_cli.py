@@ -455,3 +455,16 @@ def test_oversized_gap_family_exits_three_at_once(tmp_path, capsys):
         assert code == 3
         assert "too large" in err
         assert time.perf_counter() - started < 1.0
+
+
+def test_analyze_tau_on_a_deep_support(tmp_path, capsys):
+    # the support of 1195 keys is 1195 messages deep
+    m = 1200
+    net = tmp_path / "deep.json"
+    holdings = [list(range(1, m + 1))] * 2
+    net.write_text(json.dumps({"clients": 2, "messages": m, "holdings": holdings}))
+    code, out, _ = run(capsys, "analyze", "--input", str(net), "--tau", str(m - 5), "--json")
+    assert code == 0
+    assert json.loads(out)["table"] == [
+        {"keys": m - 5, "cost": 0, "support": list(range(1, m - 4))}
+    ]

@@ -4,6 +4,7 @@ import gc
 import json
 import math
 import random
+import sys
 import tracemalloc
 import weakref
 
@@ -325,8 +326,9 @@ def test_uncoverable_instance_raises():
 
 
 def test_many_sets_with_one_covering_set_stay_small():
-    # the walk's weight bounds grow with the support size, not with the
-    # square of the set count (an m x m table would take about 150 MB here)
+    # the walk keeps weight bounds only for the positions it reaches, not
+    # for every pair of set count and size (an m x m table would take
+    # about 150 MB here)
     sets = [[1, 2, 3]] + [[1]] * 2999
     inst = parse_set_cover(json.dumps({"universe": [1, 2, 3], "sets": sets}))
     tracemalloc.start()
@@ -336,3 +338,18 @@ def test_many_sets_with_one_covering_set_stay_small():
     finally:
         tracemalloc.stop()
     assert peak < 16 * 2**20
+
+
+def test_support_deeper_than_the_frame_limit():
+    # two clients holding the same messages: each key count's support is
+    # its first tau messages, so the walk descends up to m levels
+    m = 1200
+    assert sys.getrecursionlimit() < m
+    fam = MessageFamily.from_holdings(2, m, [range(1, m + 1)] * 2)
+    report = build_report(fam)
+    assert report.max_keys == m
+    start = 1
+    for entry in report.entries:
+        want = reference_support_search(fam, entry.tau, start)
+        assert entry.support == tuple(fam.labels[i] for i in want)
+        start = len(want) + 1
