@@ -3,20 +3,29 @@
 For every nonempty proper client subset S, omniscience requires at least
 as many broadcasts from inside S as there are messages nobody outside S
 holds.  The smallest integer allocation satisfying all 2^n - 2 subset
-constraints is found by branch and bound over per-client counts with
-lazily separated constraints; separation scans every subset against a
-union table built once per family (n <= 24).  The table is one numpy
-array of shape (ceil(m/64), 2^n): row w holds, for every client subset,
-word w (messages 64w to 64w+63) of the union of its members' holdings,
-so every family size runs the same array code.  Only this module reads
-the table; the other layers call `min_broadcasts` and
+constraints is found by one lazy-cut loop, `_solve`.  It keeps an
+explicit list of subset constraints, seeded with the singletons and
+co-singletons, and fixes a total.  A depth-first search, `_dfs_budget`,
+looks for the lexicographically smallest allocation within that total
+that meets the listed constraints.  If there is none, the total is
+infeasible and rises by one; a decision call, which fixes the total at
+its budget, answers no.  Otherwise separation scans every subset for the
+most violated constraint: none means the allocation is the answer, else
+that constraint joins the list, which persists across totals.  So the
+first total that succeeds is the optimum, and its first allocation is
+the lexicographically smallest optimal one.
+
+Separation reads a union table built once per family (n <= 24).  The
+table is one numpy array of shape (ceil(m/64), 2^n): row w holds, for
+every client subset, word w (messages 64w to 64w+63) of the union of its
+members' holdings, so every family size runs the same array code.  Only
+this module reads the table; the other layers call `min_broadcasts` and
 `broadcasts_at_most`, or `_decision_keep` for a message-filtered family.
 
-Ties between optimal allocations go to the lexicographically smallest
-vector.  `separate` reports the most violated subset, smallest client
-bitmask first.  The tight subsets that certify an optimum are derived
-from the union table on first read of `OmniscienceResult.tight_sets`, so
-a caller that never reads them never pays for them.
+`separate` reports the most violated subset, smallest client bitmask
+first.  The tight subsets that certify an optimum are derived from the
+union table on first read of `OmniscienceResult.tight_sets`, so a caller
+that never reads them never pays for them.
 """
 
 from __future__ import annotations
@@ -165,7 +174,7 @@ def _family_tables(fam: MessageFamily) -> _Tables:
 
 
 # ---------------------------------------------------------------------------
-# covering solver over an explicit constraint list
+# covering search over an explicit constraint list
 # ---------------------------------------------------------------------------
 
 
@@ -188,78 +197,49 @@ def _disjoint_bound(res: list[int], masks: list[int], unassigned: int) -> int:
 
 
 def _dfs_budget(
-    masks: list[int], needs: list[int], cons_at: list[list[int]], n: int, budget: int
-) -> list[int] | None:
-    """First feasible allocation with total <= budget, values tried ascending
-    per client, or None.  The first hit is the lexicographically smallest."""
-    a = [0] * n
-    res = list(needs)
-    full = (1 << n) - 1
-
-    def rec(j: int, left: int) -> bool:
-        if max(res, default=0) <= 0:
-            for t in range(j, n):
-                a[t] = 0
-            return True
-        if j == n:
-            return False
-        unassigned = full & ~((1 << j) - 1)
-        if _disjoint_bound(res, masks, unassigned) > left:
-            return False
-        cap = 0
-        for i in cons_at[j]:
-            if res[i] > cap:
-                cap = res[i]
-        if cap > left:
-            cap = left
-        sub = cons_at[j]
-        a[j] = 0
-        ok = rec(j + 1, left)
-        val = 0
-        while not ok and val < cap:
-            val += 1
-            for i in sub:
-                res[i] -= 1
-            a[j] = val
-            ok = rec(j + 1, left - val)
+    j: int, left: int, a: list[int], res: list[int], masks: list[int], cons_at: list[list[int]]
+) -> bool:
+    """Extend `a[:j]` to an allocation meeting every listed constraint
+    (`res` holds their residual needs) while spending at most `left` more,
+    trying values ascending per client, so the first hit is the
+    lexicographically smallest.  `res` comes back unchanged.  Module-level,
+    with its state passed in, so a search leaves no reference cycle."""
+    n = len(a)
+    if max(res, default=0) <= 0:
+        for t in range(j, n):
+            a[t] = 0
+        return True
+    if j == n:
+        return False
+    if _disjoint_bound(res, masks, (1 << n) - (1 << j)) > left:
+        return False
+    sub = cons_at[j]
+    cap = 0
+    for i in sub:
+        if res[i] > cap:
+            cap = res[i]
+    if cap > left:
+        cap = left
+    a[j] = 0
+    ok = _dfs_budget(j + 1, left, a, res, masks, cons_at)
+    val = 0
+    while not ok and val < cap:
+        val += 1
         for i in sub:
-            res[i] += val
-        if not ok:
-            a[j] = 0
-        return ok
-
-    if rec(0, budget):
-        return list(a)
-    return None
-
-
-def _cover_optimize(masks: list[int], needs: list[int], n: int) -> list[int]:
-    """Exact minimum-total solution of the explicit covering system,
-    lexicographically smallest among the optima."""
-    cons_at = [[i for i, mk in enumerate(masks) if (mk >> j) & 1] for j in range(n)]
-    lb = _quick_lb(masks, needs, n)
-    # greedy repair gives a finite upper bound
-    a = [0] * n
-    for i in sorted(range(len(needs)), key=lambda i: (-needs[i], i)):
-        have = sum(a[j] for j in range(n) if (masks[i] >> j) & 1)
-        deficit = needs[i] - have
-        if deficit > 0:
-            lowest = (masks[i] & -masks[i]).bit_length() - 1
-            a[lowest] += deficit
-    ub = sum(a)
-    for total in range(lb, ub + 1):
-        sol = _dfs_budget(masks, needs, cons_at, n, total)
-        if sol is not None:
-            return sol
-    raise AssertionError("covering search missed its own upper bound")  # pragma: no cover
+            res[i] -= 1
+        a[j] = val
+        ok = _dfs_budget(j + 1, left - val, a, res, masks, cons_at)
+    for i in sub:
+        res[i] += val
+    if not ok:
+        a[j] = 0
+    return ok
 
 
 def _quick_lb(masks: list[int], needs: list[int], n: int) -> int:
     """Cheap lower bounds: disjoint supports, plus the averaging bound from
     summing all (n-1)-subset constraints."""
     lb = _disjoint_bound(list(needs), masks, (1 << n) - 1)
-    if lb >= _BIG:
-        return lb
     co_total = 0
     single_total = 0
     for mk, nd in zip(masks, needs):
@@ -274,7 +254,7 @@ def _quick_lb(masks: list[int], needs: list[int], n: int) -> int:
 
 
 # ---------------------------------------------------------------------------
-# lazy-constraint wrappers
+# the lazy-cut loop
 # ---------------------------------------------------------------------------
 
 
@@ -296,56 +276,40 @@ def _seed_constraints(tables: _Tables, keep: int) -> dict[int, int]:
     return seeds
 
 
-def _optimize_keep(tables: _Tables, keep: int):
-    """Exact optimum for the family filtered to `keep` message positions.
+def _solve(fam: MessageFamily, keep: int, budget: int | None) -> list[int] | None:
+    """Lexicographically smallest allocation of the family filtered to `keep`
+    message positions with total <= `budget`, or None if there is none.
 
-    Returns (total, allocation)."""
-    n = tables.n
-    if n == 1:
-        return 0, (0,)
-    seeds = _seed_constraints(tables, keep)
-    masks = list(seeds)
-    needs = [seeds[mk] for mk in masks]
-    rhs = tables.rhs_for(keep)
-    known = set(masks)
-    while True:
-        vec = _cover_optimize(masks, needs, n)
-        viol = tables.most_violated(vec, rhs)
-        if viol is None:
-            return sum(vec), tuple(vec)
-        mask, nd = viol
-        assert mask not in known
-        known.add(mask)
-        masks.append(mask)
-        needs.append(nd)
-
-
-def _decision_keep(fam: MessageFamily, keep: int, budget: int) -> bool:
-    """True iff the family filtered to `keep` message positions admits
-    omniscience within `budget`."""
+    With `budget` None the total starts at `_quick_lb` and rises by one
+    whenever the search finds nothing, so the first hit is the
+    lexicographically smallest optimal allocation."""
     n = fam.n
     if n == 1:
-        return budget >= 0
+        return [0] if budget is None or budget >= 0 else None
     tables = _family_tables(fam)
-    if budget < 0:
-        return False
     seeds = _seed_constraints(tables, keep)
     masks = list(seeds)
     needs = [seeds[mk] for mk in masks]
-    if _quick_lb(masks, needs, n) > budget:
-        return False
+    total = _quick_lb(masks, needs, n)
+    if budget is not None:
+        if total > budget:
+            return None
+        total = budget
     cons_at = [[i for i, mk in enumerate(masks) if (mk >> j) & 1] for j in range(n)]
     rhs = None
     known = set(masks)
     while True:
-        sol = _dfs_budget(masks, needs, cons_at, n, budget)
-        if sol is None:
-            return False
+        sol = [0] * n
+        if not _dfs_budget(0, total, sol, list(needs), masks, cons_at):
+            if budget is not None:
+                return None
+            total += 1
+            continue
         if rhs is None:
             rhs = tables.rhs_for(keep)
         viol = tables.most_violated(sol, rhs)
         if viol is None:
-            return True
+            return sol
         mask, nd = viol
         assert mask not in known
         known.add(mask)
@@ -357,6 +321,12 @@ def _decision_keep(fam: MessageFamily, keep: int, budget: int) -> bool:
                 cons_at[j].append(idx)
 
 
+def _decision_keep(fam: MessageFamily, keep: int, budget: int) -> bool:
+    """True iff the family filtered to `keep` message positions admits
+    omniscience within `budget`."""
+    return _solve(fam, keep, budget) is not None
+
+
 # ---------------------------------------------------------------------------
 # public surface
 # ---------------------------------------------------------------------------
@@ -365,9 +335,8 @@ def _decision_keep(fam: MessageFamily, keep: int, budget: int) -> bool:
 def min_broadcasts(fam: MessageFamily) -> OmniscienceResult:
     """Exact minimum number of broadcasts for every client to learn every
     message, with the lexicographically smallest optimal allocation."""
-    tables = _family_tables(fam)
-    total, vec = _optimize_keep(tables, tables.full_msgs)
-    return OmniscienceResult(total, vec, fam)
+    vec = _solve(fam, (1 << fam.m) - 1, None)
+    return OmniscienceResult(sum(vec), tuple(vec), fam)
 
 
 def broadcasts_at_most(fam: MessageFamily, budget: int) -> bool:

@@ -35,20 +35,27 @@ def brute_feasible(fam: MessageFamily, alloc) -> bool:
     return True
 
 
+def compositions(total: int, parts: int, cap: int):
+    """Every vector of `parts` entries in range(cap + 1) summing to `total`,
+    in lexicographic order."""
+    if parts == 1:
+        if total <= cap:
+            yield (total,)
+        return
+    for first in range(min(total, cap) + 1):
+        for rest in compositions(total - first, parts - 1, cap):
+            yield (first,) + rest
+
+
 def brute_min_broadcasts(fam: MessageFamily):
-    """Exhaust all allocations; return (total, lex-least optimal vector)."""
+    """Exhaust allocations by ascending total, each total in lexicographic
+    order; the first feasible one gives (total, lex-least optimal vector)."""
     if fam.n == 1:
         return 0, (0,)
-    best_total = None
-    best_vec = None
-    for vec in itertools.product(range(fam.m + 1), repeat=fam.n):
-        if not brute_feasible(fam, vec):
-            continue
-        total = sum(vec)
-        if best_total is None or total < best_total:
-            best_total = total
-            best_vec = vec
-    return best_total, best_vec
+    for total in range(fam.n * fam.m + 1):
+        for vec in compositions(total, fam.n, fam.m):
+            if brute_feasible(fam, vec):
+                return total, vec
 
 
 def brute_tight_sets(fam: MessageFamily, alloc):

@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import gc
 import hashlib
 import random
 
@@ -15,14 +16,17 @@ from omnikey import (
     make_gap,
     make_pin,
     min_broadcasts,
+    restrict,
     separate,
 )
 from omnikey.errors import InputFormatError, SizeGuardError
+from omnikey.omniscience import _decision_keep
 
 from conftest import (
     brute_feasible,
     brute_min_broadcasts,
     brute_most_violated,
+    brute_restrict_total,
     brute_tight_sets,
     random_family,
     union_size,
@@ -231,6 +235,51 @@ def test_decision_mode_monotone_in_budget():
         res = min_broadcasts(fam)
         for budget in range(0, res.total + 3):
             assert broadcasts_at_most(fam, budget) == (budget >= res.total)
+
+
+def test_filtered_decisions_match_brute_force():
+    rng = random.Random(9)
+    seen_client_without_kept = False
+    for _ in range(40):
+        fam = random_family(rng, rng.randint(1, 5), rng.randint(1, 6))
+        for keep in range(1 << fam.m):
+            kept = [i + 1 for i in range(fam.m) if keep >> i & 1]
+            # with nothing kept there is nothing to exchange
+            want = brute_restrict_total(fam, kept) if kept else 0
+            if kept and any(mask & keep == 0 for mask in fam.masks):
+                seen_client_without_kept = True
+            for budget in range(-1, len(kept) + 1):
+                got = _decision_keep(fam, keep, budget)
+                assert got == (want <= budget), (fam.masks, keep, budget)
+    assert seen_client_without_kept
+
+
+def test_filtered_decision_below_the_holding_floor():
+    # kept to these labels, client 1 holds message 10 alone and must hear
+    # the other four, so no allocation within 3 exists
+    fam = make_cyclic15()
+    labels = (4, 6, 9, 10, 12)
+    keep = sum(1 << (label - 1) for label in labels)
+    assert fam.masks[0] & keep == 1 << 9
+    assert not _decision_keep(fam, keep, 3)
+    assert _decision_keep(fam, keep, 4)
+    assert min_broadcasts(restrict(fam, labels)).total == 4
+
+
+def test_searches_leave_no_reference_cycle():
+    # a search that builds a reference cycle leaves garbage behind for the
+    # cyclic collector on every call
+    fam = random_family(random.Random(0), 6, 16)
+    total = min_broadcasts(fam).total
+    gc.collect()
+    gc.disable()
+    try:
+        for _ in range(100):
+            assert broadcasts_at_most(fam, total)
+        min_broadcasts(fam)
+        assert gc.collect() == 0
+    finally:
+        gc.enable()
 
 
 def test_client_count_guard():

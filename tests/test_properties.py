@@ -27,10 +27,15 @@ from omnikey import (
 )
 from omnikey.errors import InfeasibleError, SynthesisExhaustedError
 from omnikey.fields import Matrix, rank
-from omnikey.omniscience import _family_tables
+from omnikey.omniscience import _decision_keep, _family_tables
 from omnikey.oracle import _determines
 
-from conftest import brute_sk_cost, brute_tight_sets, reference_determines
+from conftest import (
+    brute_restrict_total,
+    brute_sk_cost,
+    brute_tight_sets,
+    reference_determines,
+)
 
 
 @st.composite
@@ -58,6 +63,18 @@ def test_tight_sets_match_brute_force(fam):
 def test_min_key_support_matches_brute_force(fam):
     for tau in range(1, fam.m + 1):
         assert min_key_support(fam, tau) == brute_sk_cost(fam, tau)[1]
+
+
+@settings(deadline=None, max_examples=200)
+@given(st.data())
+def test_filtered_decision_matches_brute_force(data):
+    fam = data.draw(families(max_n=5, max_m=6))
+    keep = data.draw(st.integers(0, (1 << fam.m) - 1))
+    kept = [i + 1 for i in range(fam.m) if keep >> i & 1]
+    # with nothing kept there is nothing to exchange
+    want = brute_restrict_total(fam, kept) if kept else 0
+    for budget in range(-1, len(kept) + 1):
+        assert _decision_keep(fam, keep, budget) == (want <= budget)
 
 
 @settings(deadline=None, max_examples=200)
