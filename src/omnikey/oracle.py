@@ -1,10 +1,21 @@
 """Brute force verification of protocols by exact enumeration.
 
 Algebraic rank arguments say a protocol works; this module checks the
-claim the expensive way.  In full mode every assignment of message values
-is enumerated and, per client, the pair (own values, heard transmissions)
-must determine the decoded output; key statistics come from exact integer
-counting, so uniformity and independence hold bit for bit or not at all.
+claim the expensive way.  In full mode the key statistics count every
+assignment of message values in exact integers, so uniformity and
+independence hold bit for bit or not at all, and per client the pair
+(own values, heard transmissions) must determine the decoded output.
+
+That per-client check runs on the slice of states where the client's own
+coordinates are 0.  Every row is a linear form, so with the own part
+fixed to a the transmissions are t(0, y) + t(a, 0) and the keys
+k(0, y) + k(a, 0): the own-zero slice's values shifted by a constant,
+which is a bijection.  For omniscience the output is the state itself,
+which is one-to-one on every slice.  Views from different slices differ
+in their own part, so the view determines the output on all q**width
+states iff it does on that slice of q**(width - own) states.  Its views
+are also the smallest, their own part being 0, so the first clashing
+pair found there is the one a sort of every state would report.
 
 When the raw state space is too large but the transmissions and keys span
 few dimensions, functional mode enumerates that row space instead: the
@@ -19,7 +30,7 @@ that coordinate's axis: prime fields add and reduce mod p in uint8 or
 uint16, and only prime-power fields gather from q x q addition and
 multiplication tables.  A value spans only the axes it depends on until
 it is combined with others, and a client's view is checked with one
-stable sort.
+stable sort of its own-zero slice.
 """
 
 from __future__ import annotations
@@ -45,6 +56,8 @@ STATE_GUARD = 1 << 23
 _TABLE_GUARD = 1 << 12
 # cells of the int64 (key, transmission) histogram, 64 MiB
 _HISTOGRAM_GUARD = 1 << 23
+# cells of the histogram compared with the product of its marginals at once
+_INDEPENDENCE_BLOCK = 1 << 16
 _MAX_COUNTEREXAMPLES = 3
 
 
@@ -66,12 +79,20 @@ class JointHistogram:
 
 
 def _independence(counts: np.ndarray, states: int) -> tuple[bool, float]:
-    """(exactly independent?, bits) from int64 joint counts, with one outer
-    product of the marginals; the bits are 0.0 exactly when the integer
-    identity count * N == key_count * trans_count holds."""
-    indep = np.outer(counts.sum(axis=1), counts.sum(axis=0))
-    if np.array_equal(counts * states, indep):
+    """(exactly independent?, bits) from int64 joint counts; the bits are
+    0.0 exactly when the integer identity count * N == key_count *
+    trans_count holds.  The identity is checked a block of key rows at a
+    time, and the whole outer product of the marginals is built only to
+    measure a dependence."""
+    keys = counts.sum(axis=1)
+    trans = counts.sum(axis=0)
+    step = max(1, _INDEPENDENCE_BLOCK // trans.size)
+    if all(
+        np.array_equal(counts[i : i + step] * states, np.outer(keys[i : i + step], trans))
+        for i in range(0, keys.size, step)
+    ):
         return True, 0.0
+    indep = np.outer(keys, trans)
     nz = counts > 0
     c = counts[nz].astype(np.float64)
     return False, float(np.sum(c / states * np.log2(c * states / indep[nz])))
@@ -173,11 +194,6 @@ class _Space:
             mult *= self.q
         return out
 
-    def code(self, cols) -> np.ndarray:
-        """Base-q code of the listed coordinates, the first least significant."""
-        digits = np.arange(self.q, dtype=np.int64)
-        return self.pack(self.along(c, digits) for c in cols)
-
     def flat(self, values: np.ndarray) -> np.ndarray:
         """The values of every state, indexed by its code."""
         return np.broadcast_to(values, self.shape).ravel()
@@ -188,6 +204,26 @@ class _Space:
         counts = np.bincount(values.ravel(), minlength=length)
         counts *= self.states // values.size
         return counts
+
+    def own_zero(self, values: np.ndarray, own) -> np.ndarray:
+        """The values of the states whose coordinates `own` are 0, flat in
+        the C order of the other coordinates, which is ascending state
+        index."""
+        at = [slice(None)] * self.ncoords
+        for c in own:
+            at[self.ncoords - 1 - c] = 0
+        part = values[tuple(at)]
+        return np.broadcast_to(part, (self.q,) * part.ndim).ravel()
+
+    def own_zero_index(self, own) -> np.ndarray:
+        """The state index of every state `own_zero` lists, built from the
+        other coordinates' digits alone."""
+        digits = np.arange(self.q, dtype=np.int64)
+        index = np.zeros((1,) * self.ncoords, dtype=np.int64)
+        for c in range(self.ncoords):
+            if c not in own:
+                index = index + self.along(c, digits * self.q**c)
+        return self.own_zero(index, own)
 
     def unpack(self, code: int, count: int) -> tuple[int, ...]:
         digits = []
@@ -213,6 +249,20 @@ def _determines(view: np.ndarray, out: np.ndarray):
     first = outs.min()
     second = outs[outs != first].min()
     return False, (int(group[outs == first][-1]), int(group[outs == second][0]))
+
+
+def _client_determines(space: _Space, own, t_code: np.ndarray, k_code: np.ndarray | None):
+    """Does a client holding the coordinates `own` and hearing `t_code` fix
+    the key `k_code`, or every coordinate when it is None?  Returns (ok,
+    pair of clashing state indices or None), checked on the own-zero slice
+    (see the module docstring): the pair `_determines` would find over
+    every state, with the view own_code * q**ntrans + t_code."""
+    index = space.own_zero_index(own)
+    out = index if k_code is None else space.own_zero(k_code, own)
+    ok, clash = _determines(space.own_zero(t_code, own), out)
+    if clash is None:
+        return ok, None
+    return ok, (int(index[clash[0]]), int(index[clash[1]]))
 
 
 # ---------------------------------------------------------------------------
@@ -275,9 +325,9 @@ def verify_exhaustive(protocol: LinearProtocol, fam: MessageFamily) -> VerifyRep
 
     hist = None
     mi = None
-    out = None
+    k_code = None
+    claims = None
     if protocol.kind == "omniscience":
-        out = np.arange(space.states, dtype=np.int64)
         claims = (
             "can reconstruct every message",
             "cannot tell two message states apart",
@@ -298,18 +348,16 @@ def verify_exhaustive(protocol: LinearProtocol, fam: MessageFamily) -> VerifyRep
         else:
             failures.append("keys are correlated with the transmissions")
         if mode == "full":
-            out = space.flat(k_code)
             claims = ("view determines the key", "cannot pin down the key")
         else:
             checks.append(
                 "per-client key derivation checked algebraically (state space too large)"
             )
 
-    if out is not None:
+    if claims is not None:
         for j in range(1, fam.n + 1):
             cols = _client_cols(fam, j, protocol.dim)
-            view = space.flat(space.code(cols) * t_space + t_code)
-            ok, clash = _determines(view, out)
+            ok, clash = _client_determines(space, cols, t_code, k_code)
             if ok:
                 checks.append(f"client {j} {claims[0]}")
             else:

@@ -14,7 +14,7 @@ from math import inf
 
 import numpy as np
 
-from omnikey import MessageFamily, omniscience, to_hypergraph
+from omnikey import MessageFamily, omniscience, oracle, to_hypergraph
 
 
 def union_size(fam: MessageFamily, clients) -> int:
@@ -281,6 +281,25 @@ def reference_determines(view, out, out_space: int):
         return True, None
     i = int(hits[0])
     return False, (int(order[i]), int(order[i + 1]))
+
+
+def grid_code(space, cols) -> np.ndarray:
+    """Base-q code of the listed coordinates at every state of an oracle
+    grid, the first least significant."""
+    digits = np.arange(space.q, dtype=np.int64)
+    return space.pack(space.along(c, digits) for c in cols)
+
+
+def reference_client_determines(space, cols, t_code, t_space: int, k_code):
+    """The per-client check over every state of the grid: the view is the
+    client's own code above the transmission code, and the output is the
+    key code, or the state index when `k_code` is None."""
+    view = space.flat(grid_code(space, cols) * t_space + t_code)
+    if k_code is None:
+        out = np.arange(space.states, dtype=np.int64)
+    else:
+        out = space.flat(k_code)
+    return oracle._determines(view, out)
 
 
 def random_family(rng: random.Random, n: int, m: int) -> MessageFamily:

@@ -24,8 +24,9 @@ from omnikey import (
     verify_exhaustive,
 )
 from omnikey.errors import InputFormatError, SizeGuardError
+from omnikey.protocols import _client_cols
 
-from conftest import brute_eval_states
+from conftest import brute_eval_states, grid_code
 
 GF2 = make_field(2)
 
@@ -147,6 +148,35 @@ def test_functional_mode_guard_on_spanned_rank():
             verify_exhaustive(proto, fam)
     finally:
         oracle_mod.STATE_GUARD = saved
+
+
+def test_full_mode_checks_each_client_on_its_own_zero_slice(monkeypatch):
+    # a check over the whole grid would hand _determines q**width states
+    sizes = []
+    real = oracle_mod._determines
+
+    def recording(view, out):
+        sizes.append((view.size, out.size))
+        return real(view, out)
+
+    monkeypatch.setattr(oracle_mod, "_determines", recording)
+    cases = [
+        (make_pin(4), synth_omniscience(make_pin(4), field=7)),
+        (make_pin(5), synth_sk(make_pin(5), 2)),
+        (make_gap(4), split_gap_protocol(4)),
+        (make_pin(3), LinearProtocol(GF2, 3, 3, "omniscience", (), ())),
+    ]
+    for fam, proto in cases:
+        sizes.clear()
+        report = verify_exhaustive(proto, fam)
+        assert report.mode == "full"
+        width = proto.m * proto.dim
+        assert report.states == proto.field.q**width
+        want = [
+            proto.field.q ** (width - len(_client_cols(fam, j, proto.dim)))
+            for j in range(1, fam.n + 1)
+        ]
+        assert sizes == [(size, size) for size in want]
 
 
 def test_undecodable_omniscience_is_caught_with_counterexamples():
@@ -283,7 +313,7 @@ def test_space_matches_per_state_evaluation(order, most):
                 sum(s // order**c % order * order**i for i, c in enumerate(cols))
                 for s in range(space.states)
             ]
-            assert space.flat(space.code(cols)).tolist() == want
+            assert space.flat(grid_code(space, cols)).tolist() == want
 
 
 def _report_digest(proto, fam) -> str:

@@ -12,11 +12,14 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from omnikey import (
+    LinearProtocol,
     MessageFamily,
     demand,
+    field_from_order,
     max_keys,
     min_broadcasts,
     min_key_support,
+    oracle,
     protocol_from_json,
     protocol_to_json,
     restrict,
@@ -24,16 +27,19 @@ from omnikey import (
     synth_chain,
     synth_omniscience,
     synth_sk,
+    verify_exhaustive,
 )
 from omnikey.errors import InfeasibleError, SynthesisExhaustedError
 from omnikey.fields import Matrix, rank
 from omnikey.omniscience import _decision_keep, _family_tables
 from omnikey.oracle import _determines
+from omnikey.protocols import _client_cols
 
 from conftest import (
     brute_restrict_total,
     brute_sk_cost,
     brute_tight_sets,
+    reference_client_determines,
     reference_determines,
 )
 
@@ -102,6 +108,79 @@ def test_subset_rhs_matches_restricted_demand(data):
 def test_determines_matches_reference(arrays):
     view, out = (np.array(a, dtype=np.int64) for a in arrays)
     assert _determines(view, out) == reference_determines(view, out, 4)
+
+
+@st.composite
+def linear_protocols(draw):
+    """(family, protocol) for random, not synthesized, linear protocols of
+    at most four coordinates.  The family has a client holding nothing and
+    one holding everything; a transmission may use coordinates its sender
+    does not hold."""
+    q = draw(st.sampled_from((2, 3, 4, 5, 7, 9)))
+    dim = draw(st.integers(1, 2))
+    m = draw(st.integers(1, 4 // dim))
+    full = (1 << m) - 1
+    masks = draw(st.permutations([0, full] + draw(st.lists(st.integers(0, full), max_size=2))))
+    n = len(masks)
+    fam = MessageFamily(n, m, tuple(masks))
+    width = m * dim
+    coeff = st.integers(0, q - 1)
+    row = st.lists(coeff, min_size=width, max_size=width)
+    senders = draw(st.lists(st.integers(1, n), max_size=2))
+    rows = []
+    for sender in senders:
+        held = set(_client_cols(fam, sender, dim))
+        honest = draw(st.booleans())
+        for _ in range(dim):
+            rows.append(tuple(
+                v if c in held or not honest else 0 for c, v in enumerate(draw(row))
+            ))
+    kind = draw(st.sampled_from(("omniscience", "secret-key")))
+    keys = draw(st.lists(row, min_size=1, max_size=2)) if kind == "secret-key" else []
+    proto = LinearProtocol(
+        field_from_order(q), n, m, kind, tuple(senders), tuple(rows),
+        tuple(tuple(k) for k in keys), dim=dim,
+    )
+    return fam, proto
+
+
+@settings(deadline=None, max_examples=300)
+@given(linear_protocols())
+def test_client_checks_match_the_whole_grid(case):
+    fam, proto = case
+    width = proto.m * proto.dim
+    space = oracle._Space(proto.field, width)
+    t_code = space.pack(space.eval_row(r) for r in proto.rows)
+    k_code = None
+    if proto.kind == "secret-key":
+        k_code = space.pack(space.eval_row(r) for r in proto.key_rows)
+    t_space = proto.field.q ** len(proto.rows)
+    verdicts = []
+    for j in range(1, fam.n + 1):
+        cols = _client_cols(fam, j, proto.dim)
+        got = oracle._client_determines(space, cols, t_code, k_code)
+        assert got == reference_client_determines(space, cols, t_code, t_space, k_code)
+        verdicts.append(got)
+    report = verify_exhaustive(proto, fam)
+    assert (report.mode, report.states) == ("full", space.states)
+    failing = [j for j, (ok, _) in enumerate(verdicts, 1) if not ok]
+    passing = [j for j, (ok, _) in enumerate(verdicts, 1) if ok]
+
+    def clients(lines, prefix="client "):
+        return [int(line[len(prefix):].split()[0]) for line in lines if line.startswith(prefix)]
+
+    assert clients(report.failures) == failing
+    assert clients(report.checks) == passing
+    assert report.counterexamples == tuple(
+        {
+            "client": j,
+            "state_a": space.unpack(verdicts[j - 1][1][0], width),
+            "state_b": space.unpack(verdicts[j - 1][1][1], width),
+        }
+        for j in failing[: oracle._MAX_COUNTEREXAMPLES]
+    )
+    # enumeration and the rank conditions agree on every client
+    assert sorted(set(clients(report.failures, "algebra: client "))) == failing
 
 
 def synthesized(fam, seed, field):
