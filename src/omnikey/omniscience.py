@@ -18,8 +18,13 @@ the lexicographically smallest optimal one.
 Separation reads a union table built once per family (n <= 24).  The
 table is one numpy array of shape (ceil(m/64), 2^n): row w holds, for
 every client subset, word w (messages 64w to 64w+63) of the union of its
-members' holdings, so every family size runs the same array code.  Only
-this module reads the table; the other layers call `min_broadcasts` and
+members' holdings, so every family size runs the same array code.  The
+right-hand sides and allocation sums derived from it are int32 arrays,
+and the right-hand sides are counted 2^16 subsets at a time, so beside
+the table a solve holds a few int32 arrays and no full-size uint64
+temporary.  Allocation entries are clipped at m + 1 before they are
+summed, which keeps the sums exact and inside int32.  Only this module
+reads the table; the other layers call `min_broadcasts` and
 `broadcasts_at_most`, or `_decision_keep` for a message-filtered family.
 
 `separate` reports the most violated subset, smallest client bitmask
@@ -53,6 +58,7 @@ __all__ = [
 SUBSET_GUARD_N = 24
 _BIG = 1 << 30
 _WORD = (1 << 64) - 1
+_BLOCK = 1 << 16
 
 
 @dataclass(frozen=True)
@@ -111,6 +117,7 @@ class _Tables:
                 f"subset separation supports at most {SUBSET_GUARD_N} clients, got {fam.n}"
             )
         self.n = fam.n
+        self.m = fam.m
         self.masks = fam.masks
         self.others = tuple(
             reduce(or_, fam.masks[:j] + fam.masks[j + 1 :], 0) for j in range(fam.n)
@@ -133,17 +140,28 @@ class _Tables:
         )
 
     def rhs_for(self, keep: int) -> np.ndarray:
-        """Right-hand sides for every subset index under a message filter."""
-        rhs = keep.bit_count()
-        for row, word in zip(self.unions, self._words(keep)):
-            rhs = rhs - np.bitwise_count(row[::-1] & word).astype(np.int64)
+        """Right-hand sides (int32) for every subset index under a message
+        filter: the kept messages minus those the complement holds.  The
+        union words are masked and counted `_BLOCK` subsets at a time, so
+        no full-size uint64 temporary is built."""
+        rhs = np.full(self.full_vars + 1, keep.bit_count(), dtype=np.int32)
+        outside = self.unions[:, ::-1]
+        words = self._words(keep)
+        for lo in range(0, len(rhs), _BLOCK):
+            block = rhs[lo : lo + _BLOCK]
+            for row, word in zip(outside, words):
+                block -= np.bitwise_count(row[lo : lo + _BLOCK] & word)
         return rhs
 
     def _subset_sums(self, alloc: Sequence[int]) -> np.ndarray:
-        asum = np.zeros(self.full_vars + 1, dtype=np.int64)
+        """Allocation sum (int32) over every client subset.  Entries are
+        clipped at m + 1: a subset holding such a member already exceeds
+        every right-hand side, so no tight or violated status changes."""
+        cap = self.m + 1
+        asum = np.zeros(self.full_vars + 1, dtype=np.int32)
         for j, aj in enumerate(alloc):
             half = 1 << j
-            np.add(asum[:half], aj, out=asum[half : 2 * half])
+            np.add(asum[:half], min(aj, cap), out=asum[half : 2 * half])
         return asum
 
     def most_violated(self, alloc: Sequence[int], rhs) -> tuple[int, int] | None:

@@ -10,13 +10,23 @@ is why no polynomial shortcut is known.
 
 The search stays exact and exhaustive, but it walks each size's
 combinations depth-first over ascending message positions, which is
-their lexicographic order.  A combination can only support tau keys if
-its holders cover every client and its weight sum(d_i - 1) over holder
-counts d_i reaches tau*(n-1).  The walk carries the prefix weight and
-holder union and cuts a branch, with all later siblings, once the
-heaviest remaining positions or all remaining holders cannot reach those
-floors.  Each surviving combination then meets the same checks and
-omniscience decisions, in the same order, as a plain scan would.
+their lexicographic order.  A message subset K supports tau keys iff
+sum over e in K of w_P(e) >= tau(|P| - 1) for every client partition P,
+where w_P(e) is one less than the number of blocks of P holding e
+(Csiszar-Narayan).  The walk applies two families of these floors:
+
+- the degree floor (P = all singletons): the weight sum(d_i - 1) over
+  holder counts d_i reaches tau*(n-1);
+- the two-block floors (P = {j} | rest, for n >= 2): K holds at least
+  tau messages that client j shares with some other client.  These
+  imply that K's holders cover every client.
+
+The walk carries the prefix weight and holder union and cuts a branch,
+with all later siblings, once the heaviest remaining positions cannot
+reach the degree floor or all remaining holders cannot cover every
+client.  A full combination must then meet the degree floor and every
+two-block floor before it reaches an omniscience decision, so leaves that
+cannot pass never reach the solver.
 """
 
 from __future__ import annotations
@@ -24,6 +34,8 @@ from __future__ import annotations
 import json
 import math
 from dataclasses import dataclass
+from functools import reduce
+from operator import or_
 
 from .errors import InfeasibleError, InputFormatError
 from .network import MessageFamily, to_hypergraph
@@ -104,15 +116,23 @@ class _Walk:
 
     `weight[i]` is one less than the number of holders of message i and
     `holder[i]` is the client mask holding it.  `reach[i]` is the union of
-    the holders of positions >= i and `ge` feeds the heaviest-weight sums;
-    none of them depends on tau, so one walk serves every key count."""
+    the holders of positions >= i and `ge` feeds the heaviest-weight sums.
+    `shared[j]` holds the message positions client j shares with some
+    other client (empty when n = 1, which has no two-block partition).
+    None of them depends on tau, so one walk serves every key count."""
 
-    __slots__ = ("fam", "full", "weight", "holder", "reach", "ge")
+    __slots__ = ("fam", "full", "weight", "holder", "reach", "ge", "shared")
 
     def __init__(self, fam: MessageFamily):
         holder = to_hypergraph(fam).edge_masks
         self.fam = fam
         self.full = (1 << fam.n) - 1
+        masks = fam.masks
+        self.shared = (
+            [mk & reduce(or_, masks[:j] + masks[j + 1 :]) for j, mk in enumerate(masks)]
+            if fam.n > 1
+            else []
+        )
         self.weight = weight = [mask.bit_count() - 1 for mask in holder]
         self.holder = holder
         reach = [0]
@@ -136,11 +156,15 @@ class _Walk:
         interpreter's frame limit.  A position is cut, with every later
         sibling, once even the heaviest remaining weights cannot reach
         the floor tau*(n - 1) or the remaining holders cannot cover every
-        client.  `top[k * stride + i]` sums the k heaviest weights among
+        client.  A full combination asks for the omniscience decision
+        only if it meets that floor and, for each client j, holds at
+        least tau of the messages in `shared[j]` (the two-block floor of
+        {j} | rest, which also implies the cover).
+        `top[k * stride + i]` sums the k heaviest weights among
         positions >= i; it holds only the pairs this search reaches, so
         its memory follows the search's work, never m x m."""
-        fam, full, weights, holder, reach = (
-            self.fam, self.full, self.weight, self.holder, self.reach
+        fam, full, weights, holder, reach, shared = (
+            self.fam, self.full, self.weight, self.holder, self.reach, self.shared
         )
         floor = tau * (fam.n - 1)
         stride = fam.m + 1
@@ -170,9 +194,8 @@ class _Walk:
                         continue
                     kept = keep | 1 << i
                     if (
-                        holders | holder[i] == full
-                        and weight + weights[i] >= floor
-                        and max((mk & kept).bit_count() for mk in fam.masks) >= tau
+                        weight + weights[i] >= floor
+                        and all((sh & kept).bit_count() >= tau for sh in shared)
                         and _decision_keep(fam, kept, budget)
                     ):
                         return tuple(j for j in range(fam.m) if kept >> j & 1)
@@ -194,10 +217,13 @@ def _support_search(
     that still supports tau keys, scanning sizes upward from `start`.
 
     A combination of `size` messages can only support tau keys if its
-    holders cover every client and the degree floor
+    holders cover every client, the degree floor
     ceil((n*size - degsum)/(n-1)) <= size - tau holds, which is exactly
-    sum(d_i - 1) >= tau*(n-1); the walk prunes on both before it asks
-    for the omniscience decision."""
+    sum(d_i - 1) >= tau*(n-1), and every client shares at least tau of
+    its messages with someone else (the two-block floors, for n >= 2).
+    The walk prunes branches on the first two and tests the degree and
+    two-block floors at each leaf before it asks for the omniscience
+    decision."""
     return _Walk(fam).search(tau, start)
 
 

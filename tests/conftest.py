@@ -118,9 +118,20 @@ def brute_sk_cost(fam: MessageFamily, tau: int):
 def reference_support_search(fam: MessageFamily, tau: int, start: int):
     """The support search as one loop over every combination of each size:
     the same floors and decision calls as `secrecy._support_search`, in
-    the same order, without pruning whole branches."""
+    the same order, without pruning whole branches.
+
+    The leaf floors are the cover, the degree floor (all singletons) and,
+    for n >= 2, every two-block partition {j} | rest: at least tau kept
+    messages held by client j and by someone else."""
     n, m = fam.n, fam.m
     holder = to_hypergraph(fam).edge_masks
+    shared = []
+    for j in range(n if n > 1 else 0):
+        others = 0
+        for k in range(n):
+            if k != j:
+                others |= fam.masks[k]
+        shared.append(fam.masks[j] & others)
     degrees = [mask.bit_count() for mask in holder]
     weight = sorted((d - 1 for d in degrees), reverse=True)
     floor = tau * (n - 1)
@@ -141,7 +152,7 @@ def reference_support_search(fam: MessageFamily, tau: int, start: int):
             keep = 0
             for i in combo:
                 keep |= 1 << i
-            if max((mk & keep).bit_count() for mk in fam.masks) < tau:
+            if any((sh & keep).bit_count() < tau for sh in shared):
                 continue
             if omniscience._decision_keep(fam, keep, budget):
                 return combo
@@ -234,6 +245,29 @@ def brute_span(field, rows, ncols: int) -> set:
             for a in field.elements()
         }
     return span
+
+
+def reference_rref(field, rows):
+    """Gauss-Jordan elimination one field operation at a time: scale the
+    pivot row by its inverse, then subtract multiples of it entry by
+    entry.  Returns the nonzero reduced rows and their pivot columns."""
+    work = [list(r) for r in rows]
+    ncols = len(work[0]) if work else 0
+    pivots: list = []
+    for c in range(ncols):
+        r = len(pivots)
+        pivot = next((i for i in range(r, len(work)) if work[i][c] != 0), None)
+        if pivot is None:
+            continue
+        work[r], work[pivot] = work[pivot], work[r]
+        inv = field.inv(work[r][c])
+        work[r] = [field.mul(inv, v) for v in work[r]]
+        for i in range(len(work)):
+            if i != r and work[i][c] != 0:
+                f = work[i][c]
+                work[i] = [field.sub(v, field.mul(f, w)) for v, w in zip(work[i], work[r])]
+        pivots.append(c)
+    return work[: len(pivots)], pivots
 
 
 def brute_unit_completion(field, rows, ncols: int, count: int) -> list:

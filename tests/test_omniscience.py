@@ -149,6 +149,21 @@ def test_separate_returns_a_real_violation():
     assert seen_violation
 
 
+@pytest.mark.parametrize("huge", [2**40, 2**70], ids=["2^40", "2^70"])
+def test_huge_allocation_entries_are_exact(huge):
+    # an entry above m already meets every constraint it appears in, so
+    # the answers match the brute force on unbounded Python integers
+    assert separate(make_pin(4), [huge, 0, 0, 0]) == frozenset({2, 3, 4})
+    rng = random.Random(9)
+    for _ in range(30):
+        fam = random_family(rng, rng.randint(2, 5), rng.randint(1, 5))
+        alloc = [rng.choice((0, 1, huge)) for _ in range(fam.n)]
+        assert separate(fam, alloc) == brute_most_violated(fam, alloc)
+        assert allocation_feasible(fam, alloc) == brute_feasible(fam, alloc)
+        res = OmniscienceResult(sum(alloc), tuple(alloc), fam)
+        assert res.tight_sets == brute_tight_sets(fam, alloc)
+
+
 def test_separate_validates_allocation():
     fam = make_pin(3)
     with pytest.raises(InputFormatError):

@@ -7,6 +7,9 @@ draw their own families and never replace a seeded case.
 
 from __future__ import annotations
 
+from functools import reduce
+from operator import or_
+
 import numpy as np
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -69,6 +72,29 @@ def test_tight_sets_match_brute_force(fam):
 def test_min_key_support_matches_brute_force(fam):
     for tau in range(1, fam.m + 1):
         assert min_key_support(fam, tau) == brute_sk_cost(fam, tau)[1]
+
+
+@settings(deadline=None, max_examples=60)
+@given(families(max_n=4, max_m=5))
+def test_every_support_meets_every_two_block_floor(fam):
+    # the partition {j} | rest: a message subset supporting tau keys holds
+    # at least tau messages that client j shares with some other client
+    for keep in range(1, 1 << fam.m):
+        kept = [i + 1 for i in range(fam.m) if keep >> i & 1]
+        tau = len(kept) - brute_restrict_total(fam, kept)
+        for j in range(fam.n if fam.n > 1 else 0):
+            others = reduce(or_, fam.masks[:j] + fam.masks[j + 1 :])
+            assert (fam.masks[j] & others & keep).bit_count() >= tau
+
+
+@settings(deadline=None, max_examples=20)
+@given(st.integers(1, 8))
+def test_one_client_families_keep_their_supports(m):
+    # one client has no two-block partition, so no floor may refuse it
+    fam = MessageFamily(1, m, ((1 << m) - 1,))
+    for tau in range(1, m + 1):
+        assert min_key_support(fam, tau) == brute_sk_cost(fam, tau)[1]
+        assert min_key_support(fam, tau) == tuple(range(1, tau + 1))
 
 
 @settings(deadline=None, max_examples=200)
