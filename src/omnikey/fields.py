@@ -11,10 +11,7 @@ All linear algebra goes through one Gauss-Jordan routine, `rref`, which
 returns the reduced row echelon rows and their pivot columns.  Rank is
 the pivot count; `solve_combination` reduces the augmented transpose and
 reads a witness off the pivots; span membership and basis completion are
-built on those two.  Elimination steps whole rows through
-`Field.mul_row` and `Field.sub_mul_row`: one modular comprehension over a
-prime field, XOR with log/antilog lookups over GF(2^k), and the
-elementwise operations otherwise.
+built on those two.
 """
 
 from __future__ import annotations
@@ -271,30 +268,6 @@ class Field:
     def elements(self) -> range:
         return range(self.q)
 
-    # -- whole rows ----------------------------------------------------------
-
-    def sub_mul_row(self, row: Sequence[int], f: int, other: Sequence[int]) -> list[int]:
-        """row - f * other, entry by entry."""
-        if self.k == 1:
-            p = self.p
-            return [(v - f * w) % p for v, w in zip(row, other)]
-        if self.p == 2 and f:
-            exp, log, order = self._exp, self._log, self.q - 1
-            lf = log[f]
-            return [v ^ exp[(lf + log[w]) % order] if w else v for v, w in zip(row, other)]
-        return [self.sub(v, self.mul(f, w)) for v, w in zip(row, other)]
-
-    def mul_row(self, f: int, row: Sequence[int]) -> list[int]:
-        """f * row, entry by entry."""
-        if self.k == 1:
-            p = self.p
-            return [f * v % p for v in row]
-        if self.p == 2 and f:
-            exp, log, order = self._exp, self._log, self.q - 1
-            lf = log[f]
-            return [exp[(lf + log[v]) % order] if v else 0 for v in row]
-        return [self.mul(f, v) for v in row]
-
     # -- plumbing ----------------------------------------------------------
 
     def __eq__(self, other: object) -> bool:
@@ -397,10 +370,12 @@ def rref(field: Field, rows: Sequence[Sequence[int]]) -> tuple[list[list[int]], 
         if pivot is None:
             continue
         work[r], work[pivot] = work[pivot], work[r]
-        work[r] = field.mul_row(field.inv(work[r][c]), work[r])
+        inv = field.inv(work[r][c])
+        work[r] = [field.mul(inv, v) for v in work[r]]
         for i in range(len(work)):
             if i != r and work[i][c] != 0:
-                work[i] = field.sub_mul_row(work[i], work[i][c], work[r])
+                f = work[i][c]
+                work[i] = [field.sub(v, field.mul(f, w)) for v, w in zip(work[i], work[r])]
         pivots.append(c)
     return work[: len(pivots)], pivots
 

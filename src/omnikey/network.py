@@ -10,7 +10,9 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass, field
+from functools import reduce
 from itertools import combinations
+from operator import or_
 from typing import Iterable, Sequence
 
 from .errors import InputFormatError, SizeGuardError
@@ -86,6 +88,15 @@ class MessageFamily:
         return tuple(
             frozenset(self.labels[i] for i in range(self.m) if (mask >> i) & 1)
             for mask in self.masks
+        )
+
+    @property
+    def others(self) -> tuple[int, ...]:
+        """Per client j, the union of every other client's holdings (0 when
+        n = 1)."""
+        masks = self.masks
+        return tuple(
+            reduce(or_, masks[:j] + masks[j + 1 :], 0) for j in range(self.n)
         )
 
     def holding_size(self, client: int) -> int:

@@ -36,8 +36,7 @@ that never reads them never pays for them.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from functools import cached_property, reduce
-from operator import or_
+from functools import cached_property
 from typing import Iterable, Sequence
 from weakref import WeakKeyDictionary
 
@@ -119,9 +118,7 @@ class _Tables:
         self.n = fam.n
         self.m = fam.m
         self.masks = fam.masks
-        self.others = tuple(
-            reduce(or_, fam.masks[:j] + fam.masks[j + 1 :], 0) for j in range(fam.n)
-        )
+        self.others = fam.others
         self.full_vars = (1 << fam.n) - 1
         self.full_msgs = (1 << fam.m) - 1
         self.unions = np.zeros((-(-fam.m // 64), 1 << fam.n), dtype=np.uint64)

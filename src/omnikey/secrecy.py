@@ -34,8 +34,6 @@ from __future__ import annotations
 import json
 import math
 from dataclasses import dataclass
-from functools import reduce
-from operator import or_
 
 from .errors import InfeasibleError, InputFormatError
 from .network import MessageFamily, to_hypergraph
@@ -127,11 +125,8 @@ class _Walk:
         holder = to_hypergraph(fam).edge_masks
         self.fam = fam
         self.full = (1 << fam.n) - 1
-        masks = fam.masks
         self.shared = (
-            [mk & reduce(or_, masks[:j] + masks[j + 1 :]) for j, mk in enumerate(masks)]
-            if fam.n > 1
-            else []
+            [mk & other for mk, other in zip(fam.masks, fam.others)] if fam.n > 1 else []
         )
         self.weight = weight = [mask.bit_count() - 1 for mask in holder]
         self.holder = holder

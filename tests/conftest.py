@@ -247,29 +247,6 @@ def brute_span(field, rows, ncols: int) -> set:
     return span
 
 
-def reference_rref(field, rows):
-    """Gauss-Jordan elimination one field operation at a time: scale the
-    pivot row by its inverse, then subtract multiples of it entry by
-    entry.  Returns the nonzero reduced rows and their pivot columns."""
-    work = [list(r) for r in rows]
-    ncols = len(work[0]) if work else 0
-    pivots: list = []
-    for c in range(ncols):
-        r = len(pivots)
-        pivot = next((i for i in range(r, len(work)) if work[i][c] != 0), None)
-        if pivot is None:
-            continue
-        work[r], work[pivot] = work[pivot], work[r]
-        inv = field.inv(work[r][c])
-        work[r] = [field.mul(inv, v) for v in work[r]]
-        for i in range(len(work)):
-            if i != r and work[i][c] != 0:
-                f = work[i][c]
-                work[i] = [field.sub(v, field.mul(f, w)) for v, w in zip(work[i], work[r])]
-        pivots.append(c)
-    return work[: len(pivots)], pivots
-
-
 def brute_unit_completion(field, rows, ncols: int, count: int) -> list:
     """Scan unit vectors e_0, e_1, ... and keep each one outside the
     enumerated span of the rows and the units kept so far."""

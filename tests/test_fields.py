@@ -17,7 +17,7 @@ from omnikey.fields import (
     solve_combination,
 )
 
-from conftest import brute_span, brute_unit_completion, reference_rref
+from conftest import brute_span, brute_unit_completion
 
 SMALL_ORDERS = [2, 3, 4, 5, 7, 8, 9, 16, 25]
 
@@ -308,40 +308,3 @@ def test_complete_basis_matches_the_unit_vector_scan():
         if rows:
             with pytest.raises(InputFormatError):
                 complete_basis(mat, free + 1)
-
-
-# -- whole-row operations against the elementwise arithmetic ----------------
-
-ROW_ORDERS = [2, 7, 9, 16]
-
-
-def test_row_operations_match_elementwise_arithmetic():
-    rng = random.Random(44)
-    for q in ROW_ORDERS:
-        f = field_from_order(q)
-        for _ in range(60):
-            width = rng.randint(0, 8)
-            row = [rng.randrange(q) for _ in range(width)]
-            other = [rng.randrange(q) if rng.random() < 0.7 else 0 for _ in range(width)]
-            c = rng.randrange(q)
-            assert f.mul_row(c, row) == [f.mul(c, v) for v in row]
-            assert f.sub_mul_row(row, c, other) == [
-                f.sub(v, f.mul(c, w)) for v, w in zip(row, other)
-            ]
-
-
-def test_rref_matches_the_elementwise_elimination():
-    rng = random.Random(45)
-    for q in ROW_ORDERS:
-        f = field_from_order(q)
-        for _ in range(40):
-            nr, nc = rng.randint(0, 9), rng.randint(1, 12)
-            density = rng.choice((0.3, 0.7, 1.0))
-            rows = [
-                [rng.randrange(q) if rng.random() < density else 0 for _ in range(nc)]
-                for _ in range(nr)
-            ]
-            if nr >= 2 and rng.random() < 0.3:
-                c = rng.randrange(q)
-                rows[-1] = [f.add(a, f.mul(c, b)) for a, b in zip(rows[0], rows[1])]
-            assert rref(f, rows) == reference_rref(f, rows)
