@@ -2,18 +2,33 @@
 
 For every nonempty proper client subset S, omniscience requires at least
 as many broadcasts from inside S as there are messages nobody outside S
-holds.  The smallest integer allocation satisfying all 2^n - 2 subset
-constraints is found by one lazy-cut loop, `_solve`.  It keeps an
-explicit list of subset constraints, seeded with the singletons and
-co-singletons, and fixes a total.  A depth-first search, `_dfs_budget`,
-looks for the lexicographically smallest allocation within that total
-that meets the listed constraints.  If there is none, the total is
-infeasible and rises by one; a decision call, which fixes the total at
-its budget, answers no.  Otherwise separation scans every subset for the
-most violated constraint: none means the allocation is the answer, else
-that constraint joins the list, which persists across totals.  So the
-first total that succeeds is the optimum, and its first allocation is
-the lexicographically smallest optimal one.
+holds.  Two routes answer questions about these 2^n - 2 constraints.
+
+Decisions ("does the family, filtered to a message subset, fit within
+a budget?") take one polynomial pass, `_decision_keep`: a Dilworth
+truncation of the budget's rank function, built one client at a time
+with one small max-flow per client (Milosavljevic et al., "Efficient
+algorithms for the data exchange problem", IEEE T-IT 2016; the budget
+threshold is Courtade-Wesel, IEEE T-IT 2014).  It builds no subset
+table, so it has no client-count guard.  `broadcasts_at_most`, and
+through it the secrecy layer's feasibility checks, support walk and
+criticality checks, all decide this way.
+
+The optimum, with its lexicographically smallest allocation, still
+comes from one lazy-cut loop, `_solve`.  It keeps an explicit list of
+subset constraints, seeded with the singletons and co-singletons, and
+fixes a total.  A depth-first search, `_dfs_budget`, looks for the
+lexicographically smallest allocation within that total that meets the
+listed constraints.  If there is none, the total rises by one.
+Otherwise separation scans every subset for the most violated
+constraint: none means the allocation is the answer, else that
+constraint joins the list, which persists across totals.  So the first
+total that succeeds is the optimum, and its first allocation is the
+lexicographically smallest optimal one.  The split is temporary: the
+same pass, searched over totals and run once more in reverse client
+order, gives the optimum and its lexicographically smallest allocation,
+but a faster omniscience workload cannot be measured until the
+benchmark's peak-memory reading stops growing with the batch count.
 
 Separation reads a union table built once per family (n <= 24).  The
 table is one numpy array of shape (ceil(m/64), 2^n): row w holds, for
@@ -24,8 +39,9 @@ and the right-hand sides are counted 2^16 subsets at a time, so beside
 the table a solve holds a few int32 arrays and no full-size uint64
 temporary.  Allocation entries are clipped at m + 1 before they are
 summed, which keeps the sums exact and inside int32.  Only this module
-reads the table; the other layers call `min_broadcasts` and
-`broadcasts_at_most`, or `_decision_keep` for a message-filtered family.
+reads the table, and only for the optimum and its certificates; the
+other layers call `min_broadcasts` and `broadcasts_at_most`, or
+`_decision_keep` for a message-filtered family.
 
 `separate` reports the most violated subset, smallest client bitmask
 first.  The tight subsets that certify an optimum are derived from the
@@ -273,11 +289,10 @@ def _quick_lb(masks: list[int], needs: list[int], n: int) -> int:
 # ---------------------------------------------------------------------------
 
 
-def _seed_constraints(tables: _Tables, keep: int) -> dict[int, int]:
+def _seed_constraints(tables: _Tables) -> dict[int, int]:
     """Singleton and co-singleton constraints with positive need, read from
     each client's holdings and the union of everyone else's."""
     seeds: dict[int, int] = {}
-    size = keep.bit_count()
     for j in range(tables.n):
         single = 1 << j
         for mask, outside in (
@@ -285,43 +300,34 @@ def _seed_constraints(tables: _Tables, keep: int) -> dict[int, int]:
             (tables.full_vars ^ single, tables.masks[j]),
         ):
             if mask not in seeds:
-                nd = size - (outside & keep).bit_count()
+                nd = tables.m - outside.bit_count()
                 if nd > 0:
                     seeds[mask] = nd
     return seeds
 
 
-def _solve(fam: MessageFamily, keep: int, budget: int | None) -> list[int] | None:
-    """Lexicographically smallest allocation of the family filtered to `keep`
-    message positions with total <= `budget`, or None if there is none.
+def _solve(fam: MessageFamily) -> list[int]:
+    """Lexicographically smallest optimal allocation.
 
-    With `budget` None the total starts at `_quick_lb` and rises by one
-    whenever the search finds nothing, so the first hit is the
-    lexicographically smallest optimal allocation."""
+    The total starts at `_quick_lb` and rises by one whenever the search
+    finds nothing within it, so the first hit is the lexicographically
+    smallest optimal allocation."""
     n = fam.n
     if n == 1:
-        return [0] if budget is None or budget >= 0 else None
+        return [0]
     tables = _family_tables(fam)
-    seeds = _seed_constraints(tables, keep)
+    seeds = _seed_constraints(tables)
     masks = list(seeds)
     needs = [seeds[mk] for mk in masks]
     total = _quick_lb(masks, needs, n)
-    if budget is not None:
-        if total > budget:
-            return None
-        total = budget
     cons_at = [[i for i, mk in enumerate(masks) if (mk >> j) & 1] for j in range(n)]
-    rhs = None
+    rhs = tables.rhs_for(tables.full_msgs)
     known = set(masks)
     while True:
         sol = [0] * n
         if not _dfs_budget(0, total, sol, list(needs), masks, cons_at):
-            if budget is not None:
-                return None
             total += 1
             continue
-        if rhs is None:
-            rhs = tables.rhs_for(keep)
         viol = tables.most_violated(sol, rhs)
         if viol is None:
             return sol
@@ -336,10 +342,124 @@ def _solve(fam: MessageFamily, keep: int, budget: int | None) -> list[int] | Non
                 cons_at[j].append(idx)
 
 
+# ---------------------------------------------------------------------------
+# the decision: a Dilworth-truncation pass with one max-flow per client
+# ---------------------------------------------------------------------------
+
+
 def _decision_keep(fam: MessageFamily, keep: int, budget: int) -> bool:
     """True iff the family filtered to `keep` message positions admits
-    omniscience within `budget`."""
-    return _solve(fam, keep, budget) is not None
+    omniscience within `budget`.
+
+    With K = `keep` and B = `budget`, let g(C) = |X_C & K| + B - |K| for
+    every nonempty client set C.  An allocation a within B exists iff
+    some a with a(C) <= g(C) for every such C reaches a(V) >= B: then
+    a(V) = g(V) = B (every message has a holder) and each
+    a_i >= |K| - |X_{V-i} & K| >= 0.  That
+    maximum is the Dilworth truncation of g, reached greedily one client
+    at a time:
+
+        x_i = |X_i & K| + B - |K| - max over S <= {j < i} of
+              [x(S) - |(X_S & K) - X_i|],
+
+    where the inner maximum is a max-closure (`_excess`).  No x_i may be
+    negative in a feasible answer, so the pass stops at the first one."""
+    if fam.n == 1:
+        return budget >= 0
+    masks = fam.masks
+    base = budget - keep.bit_count()
+    total = 0
+    x: list[int] = []
+    for i, mask in enumerate(masks):
+        xi = (mask & keep).bit_count() + base
+        if i:
+            xi -= _excess(masks[:i], x, keep & ~mask)
+        if xi < 0:
+            return False
+        x.append(xi)
+        total += xi
+    return total >= budget
+
+
+def _excess(masks: Sequence[int], x: Sequence[int], outside: int) -> int:
+    """max over client sets S of x(S) - |X_S & outside|, as the positive
+    x_j minus one max-flow: source -> client j (capacity x_j), client ->
+    each message class it holds, class -> sink (capacity its size).  The
+    messages of `outside` are grouped by their holders among the clients
+    with positive x_j, so the flow has at most one class per holder set.
+    A client holding nothing of `outside` joins S for free."""
+    free = 0
+    supply: list[int] = []
+    held: list[int] = []
+    for mask, xj in zip(masks, x):
+        if xj > 0:
+            if mask & outside:
+                supply.append(xj)
+                held.append(mask & outside)
+            else:
+                free += xj
+    if not supply:
+        return free
+    groups = [(outside, 0)]
+    for j, h in enumerate(held):
+        bit = 1 << j
+        split = []
+        for msgs, who in groups:
+            inside = msgs & h
+            if inside:
+                split.append((inside, who | bit))
+                if inside != msgs:
+                    split.append((msgs ^ inside, who))
+            else:
+                split.append((msgs, who))
+        groups = split
+    groups = [(msgs, who) for msgs, who in groups if who]
+    room = [msgs.bit_count() for msgs, _ in groups]
+    adj = [
+        [t for t, (_, who) in enumerate(groups) if who >> j & 1] for j in range(len(supply))
+    ]
+    flow = [[0] * len(room) for _ in supply]
+    sent = 0
+    for j, need in enumerate(supply):
+        while need:
+            push = _augment(j, need, adj, flow, room)
+            if not push:
+                break
+            need -= push
+            sent += push
+    return free + sum(supply) - sent
+
+
+def _augment(src: int, amount: int, adj, flow, room) -> int:
+    """Push up to `amount` along one shortest augmenting path from client
+    `src` to a class with room, rerouting other clients' flow on the way;
+    return what was pushed (0 when no path exists)."""
+    parent = {src: None}
+    queue = [src]
+    for u in queue:
+        for t in adj[u]:
+            if room[t]:
+                push = min(amount, room[t])
+                v = u
+                while parent[v] is not None:
+                    w, wt = parent[v]
+                    push = min(push, flow[v][wt])
+                    v = w
+                room[t] -= push
+                v, tt = u, t
+                while True:
+                    flow[v][tt] += push
+                    if parent[v] is None:
+                        break
+                    w, wt = parent[v]
+                    flow[v][wt] -= push
+                    v, tt = w, wt
+                return push
+            for v in range(len(flow)):
+                if v not in parent and flow[v][t]:
+                    parent[v] = (u, t)
+                    queue.append(v)
+    return 0
 
 
 # ---------------------------------------------------------------------------
@@ -350,7 +470,7 @@ def _decision_keep(fam: MessageFamily, keep: int, budget: int) -> bool:
 def min_broadcasts(fam: MessageFamily) -> OmniscienceResult:
     """Exact minimum number of broadcasts for every client to learn every
     message, with the lexicographically smallest optimal allocation."""
-    vec = _solve(fam, (1 << fam.m) - 1, None)
+    vec = _solve(fam)
     return OmniscienceResult(sum(vec), tuple(vec), fam)
 
 

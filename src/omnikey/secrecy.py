@@ -27,6 +27,13 @@ reach the degree floor or all remaining holders cannot cover every
 client.  A full combination must then meet the degree floor and every
 two-block floor before it reaches an omniscience decision, so leaves that
 cannot pass never reach the solver.
+
+Each omniscience decision (does the family, filtered to K, fit within
+|K| - tau broadcasts?) is the polynomial pass `_decision_keep`: one small
+max-flow per client and no subset table.  So `sk_feasible`,
+`min_key_support` and `minimum_cover` take any client count, while
+`max_keys`, `is_critical` and `build_report`, which start from the
+optimum `min_broadcasts`, stay limited to 24 clients.
 """
 
 from __future__ import annotations
@@ -152,9 +159,10 @@ class _Walk:
         sibling, once even the heaviest remaining weights cannot reach
         the floor tau*(n - 1) or the remaining holders cannot cover every
         client.  A full combination asks for the omniscience decision
-        only if it meets that floor and, for each client j, holds at
-        least tau of the messages in `shared[j]` (the two-block floor of
-        {j} | rest, which also implies the cover).
+        (the polynomial pass `_decision_keep`) only if it meets that
+        floor and, for each client j, holds at least tau of the messages
+        in `shared[j]` (the two-block floor of {j} | rest, which also
+        implies the cover).
         `top[k * stride + i]` sums the k heaviest weights among
         positions >= i; it holds only the pairs this search reaches, so
         its memory follows the search's work, never m x m."""

@@ -14,7 +14,7 @@ from omnikey import (
 )
 from omnikey.cli import main
 
-from conftest import random_family
+from conftest import brute_set_cover, random_family
 
 
 def run(capsys, *argv):
@@ -284,6 +284,23 @@ def test_reduce_solve(tmp_path, capsys):
     code, out, _ = run(capsys, "reduce", "--input", str(cover), "--solve")
     assert code == 0
     assert "minimum cover: 1 3" in out
+
+
+def test_reduce_solve_past_the_subset_guard(tmp_path, capsys):
+    # 26 elements give 27 clients, more than the subset tables allow; the
+    # support walk's decisions build no table
+    rng = random.Random(26)
+    universe = list(range(1, 27))
+    sets = [set(rng.sample(universe, rng.randint(4, 9))) for _ in range(10)]
+    for u in universe:
+        rng.choice(sets).add(u)
+    sets = [sorted(s) for s in sets]
+    cover = tmp_path / "cover.json"
+    cover.write_text(json.dumps({"universe": universe, "sets": sets}))
+    code, out, _ = run(capsys, "reduce", "--input", str(cover), "--solve", "--json")
+    assert code == 0
+    want = brute_set_cover(universe, sets)
+    assert json.loads(out) == {"cover": list(want), "size": len(want)}
 
 
 def test_reduce_uncoverable_exits_one(tmp_path, capsys):

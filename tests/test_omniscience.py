@@ -269,6 +269,23 @@ def test_filtered_decisions_match_brute_force():
     assert seen_client_without_kept
 
 
+def test_decision_pass_matches_the_optimum_on_multiword_families():
+    # 70 and 129 messages: two and three 64-message words per holding.  At
+    # six clients and 129 messages the lazy-cut optimum takes seconds.
+    rng = random.Random(12)
+    for m in (70, 129):
+        for _ in range(10):
+            fam = random_family(rng, rng.randint(2, 5), m)
+            keep = rng.getrandbits(m) | 1
+            kept = [i + 1 for i in range(m) if keep >> i & 1]
+            total = min_broadcasts(restrict(fam, kept)).total
+            for budget in (total - 1, total):
+                assert _decision_keep(fam, keep, budget) == (total <= budget)
+            whole = min_broadcasts(fam).total
+            for budget in (whole - 1, whole):
+                assert broadcasts_at_most(fam, budget) == (budget >= whole)
+
+
 def test_filtered_decision_below_the_holding_floor():
     # kept to these labels, client 1 holds message 10 alone and must hear
     # the other four, so no allocation within 3 exists
@@ -302,3 +319,18 @@ def test_client_count_guard():
     fam = MessageFamily(25, 1, masks)
     with pytest.raises(SizeGuardError):
         min_broadcasts(fam)
+
+
+def test_decisions_need_no_subset_table():
+    # the 25 clients of the guard test above: the optimum is refused, but
+    # a decision builds no subset table and answers
+    fam = MessageFamily(25, 1, tuple([1] * 25))
+    assert broadcasts_at_most(fam, 0)
+    assert not broadcasts_at_most(fam, -1)
+    with pytest.raises(SizeGuardError):
+        min_broadcasts(fam)
+    # 25 clients holding one message each: every message has one holder,
+    # who must send it
+    wide = MessageFamily(25, 25, tuple(1 << j for j in range(25)))
+    assert broadcasts_at_most(wide, 25)
+    assert not broadcasts_at_most(wide, 24)

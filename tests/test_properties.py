@@ -17,6 +17,7 @@ from hypothesis import strategies as st
 from omnikey import (
     LinearProtocol,
     MessageFamily,
+    broadcasts_at_most,
     demand,
     field_from_order,
     max_keys,
@@ -107,6 +108,21 @@ def test_filtered_decision_matches_brute_force(data):
     want = brute_restrict_total(fam, kept) if kept else 0
     for budget in range(-1, len(kept) + 1):
         assert _decision_keep(fam, keep, budget) == (want <= budget)
+
+
+@settings(deadline=None, max_examples=150)
+@given(st.data())
+def test_decision_pass_matches_the_lazy_cut_optimum(data):
+    # the decision pass and the optimum's lazy-cut loop share no code
+    fam = data.draw(families(max_n=10, max_m=8))
+    keep = data.draw(st.integers(1, (1 << fam.m) - 1))
+    kept = [i + 1 for i in range(fam.m) if keep >> i & 1]
+    total = min_broadcasts(restrict(fam, kept)).total
+    for budget in (total - 1, total):
+        assert _decision_keep(fam, keep, budget) == (total <= budget)
+    whole = min_broadcasts(fam).total
+    for budget in (whole - 1, whole):
+        assert broadcasts_at_most(fam, budget) == (budget >= whole)
 
 
 @settings(deadline=None, max_examples=200)

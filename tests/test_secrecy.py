@@ -131,14 +131,19 @@ def test_cost_matches_brute_force():
                 assert got == want_support
 
 
-def random_cover_family(rng: random.Random, elements: int, nsets: int) -> MessageFamily:
-    """Set cover reduction of random sets of 3 to 7 elements, each element
-    then added to one more random set so that the sets cover."""
+def random_cover(rng: random.Random, elements: int, nsets: int) -> SetCoverInstance:
+    """Random sets of 3 to 7 elements, each element then added to one more
+    random set so that the sets cover."""
     universe = tuple(range(1, elements + 1))
     sets = [set(rng.sample(universe, rng.randint(3, 7))) for _ in range(nsets)]
     for u in universe:
         rng.choice(sets).add(u)
-    return reduce_set_cover(SetCoverInstance(universe, tuple(map(frozenset, sets))))
+    return SetCoverInstance(universe, tuple(map(frozenset, sets)))
+
+
+def random_cover_family(rng: random.Random, elements: int, nsets: int) -> MessageFamily:
+    """Set cover reduction of `random_cover`."""
+    return reduce_set_cover(random_cover(rng, elements, nsets))
 
 
 def support_search_cases():
@@ -199,6 +204,17 @@ def test_support_search_leaves_no_reference_cycle():
         assert len(omniscience._table_cache) == cached
     finally:
         gc.enable()
+
+
+def test_set_cover_builds_no_subset_table(monkeypatch):
+    # 20 elements give 21 clients: a union table would hold 2^21 subsets,
+    # but the support walk only asks for decisions, which need none
+    inst = random_cover(random.Random(21), 20, 30)
+    fam = reduce_set_cover(inst)
+    monkeypatch.setattr(secrecy, "reduce_set_cover", lambda _: fam)
+    cover = minimum_cover(inst)
+    assert cover == brute_set_cover(inst.universe, inst.sets)
+    assert fam not in omniscience._table_cache
 
 
 def test_infeasible_tau_costs_infinity():
