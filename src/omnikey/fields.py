@@ -9,9 +9,11 @@ above the cap is refused before any primality test or table is built.
 
 All linear algebra goes through one Gauss-Jordan routine, `rref`, which
 returns the reduced row echelon rows and their pivot columns.  Rank is
-the pivot count; `solve_combination` reduces the augmented transpose and
-reads a witness off the pivots; span membership and basis completion are
-built on those two.
+the pivot count; `residual` reduces one vector against the reduced rows,
+so span membership is one `rref` plus a residual per vector;
+`solve_combination` reduces the augmented transpose and reads a witness
+off the pivots; basis completion grows the reduced rows one unit vector
+at a time.
 """
 
 from __future__ import annotations
@@ -385,9 +387,27 @@ def rank(mat: Matrix) -> int:
     return len(rref(mat.field, mat.rows)[1])
 
 
+def residual(
+    field: Field, basis: Sequence[Sequence[int]], pivots: Sequence[int], vec: Sequence[int]
+) -> list[int]:
+    """vec minus its combination of the reduced rows `basis` with pivot
+    columns `pivots`, as `rref` returns them.  Each reduced row is 0 in
+    the other rows' pivot columns, so one pass clears every pivot column
+    of vec, and the residual is all zero iff vec lies in their span."""
+    out = list(vec)
+    for row, c in zip(basis, pivots):
+        f = out[c]
+        if f:
+            out = [field.sub(v, field.mul(f, w)) for v, w in zip(out, row)]
+    return out
+
+
 def in_rowspan(mat: Matrix, vec: Sequence[int]) -> bool:
     """True iff vec is a linear combination of mat's rows."""
-    return solve_combination(mat, vec) is not None
+    if mat.rows and len(vec) != mat.ncols:
+        raise InputFormatError("vector length does not match matrix width")
+    basis, pivots = rref(mat.field, mat.rows)
+    return not any(residual(mat.field, basis, pivots, vec))
 
 
 def solve_combination(mat: Matrix, vec: Sequence[int]) -> list[int] | None:

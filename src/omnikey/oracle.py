@@ -31,6 +31,17 @@ uint16, and only prime-power fields gather from q x q addition and
 multiplication tables.  A value spans only the axes it depends on until
 it is combined with others, and a client's view is checked with one
 stable sort of its own-zero slice.
+
+The (key, transmission) histogram is counted from the two codes as they
+stand.  When they share no axis, every key point meets every
+transmission point on the same number of states, so the histogram is the
+outer product of the two codes' bincounts times that number: exact
+integers, with no code over both sets of axes ever built.  This is the
+usual case in functional mode, where independent rows span one axis
+each.  When they share an axis, the combined code is built over the axes
+either depends on and counted with one bincount.  Independence is then
+checked against the product of the marginals in blocks of at most
+_INDEPENDENCE_BLOCK cells.
 """
 
 from __future__ import annotations
@@ -81,15 +92,21 @@ class JointHistogram:
 def _independence(counts: np.ndarray, states: int) -> tuple[bool, float]:
     """(exactly independent?, bits) from int64 joint counts; the bits are
     0.0 exactly when the integer identity count * N == key_count *
-    trans_count holds.  The identity is checked a block of key rows at a
-    time, and the whole outer product of the marginals is built only to
-    measure a dependence."""
+    trans_count holds.  The identity is checked a block of at most
+    _INDEPENDENCE_BLOCK cells at a time: whole key rows when they fit, a
+    column range of one row when a row alone is wider.  The whole outer
+    product of the marginals is built only to measure a dependence."""
     keys = counts.sum(axis=1)
     trans = counts.sum(axis=0)
-    step = max(1, _INDEPENDENCE_BLOCK // trans.size)
+    rows = max(1, _INDEPENDENCE_BLOCK // trans.size)
+    cols = min(trans.size, _INDEPENDENCE_BLOCK)
     if all(
-        np.array_equal(counts[i : i + step] * states, np.outer(keys[i : i + step], trans))
-        for i in range(0, keys.size, step)
+        np.array_equal(
+            counts[i : i + rows, j : j + cols] * states,
+            np.outer(keys[i : i + rows], trans[j : j + cols]),
+        )
+        for i in range(0, keys.size, rows)
+        for j in range(0, trans.size, cols)
     ):
         return True, 0.0
     indep = np.outer(keys, trans)
@@ -198,12 +215,22 @@ class _Space:
         """The values of every state, indexed by its code."""
         return np.broadcast_to(values, self.shape).ravel()
 
-    def counts(self, values: np.ndarray, length: int) -> np.ndarray:
-        """How many states take each value below `length`: every point of
-        the axes the values depend on stands for the same number of states."""
-        counts = np.bincount(values.ravel(), minlength=length)
-        counts *= self.states // values.size
-        return counts
+    def joint_counts(
+        self, keys: np.ndarray, key_space: int, trans: np.ndarray, trans_space: int
+    ) -> np.ndarray:
+        """How many states take each (key code, transmission code) pair,
+        as int64 counts of shape (key_space, trans_space).  Every point of
+        the axes a value depends on stands for the same number of states,
+        so codes on disjoint axes are counted apart and multiplied (see the
+        module docstring)."""
+        if any(k > 1 and t > 1 for k, t in zip(keys.shape, trans.shape)):
+            codes = keys * trans_space + trans
+            joint = np.bincount(codes.ravel(), minlength=key_space * trans_space)
+            joint *= self.states // codes.size
+            return joint.reshape(key_space, trans_space)
+        key_counts = np.bincount(keys.ravel(), minlength=key_space)
+        key_counts *= self.states // (keys.size * trans.size)
+        return np.outer(key_counts, np.bincount(trans.ravel(), minlength=trans_space))
 
     def own_zero(self, values: np.ndarray, own) -> np.ndarray:
         """The values of the states whose coordinates `own` are 0, flat in
@@ -335,8 +362,7 @@ def verify_exhaustive(protocol: LinearProtocol, fam: MessageFamily) -> VerifyRep
     else:
         k_code = space.pack(space.eval_row(row) for row in active[ntrans:])
         k_space = q**nkeys
-        joint = space.counts(k_code * t_space + t_code, k_space * t_space)
-        joint = joint.reshape(k_space, t_space)
+        joint = space.joint_counts(k_code, k_space, t_code, t_space)
         hist = JointHistogram(joint, space.states, q, nkeys, ntrans)
         if np.all(hist.key_marginal() * k_space == space.states):
             checks.append(f"key tuple uniform over {k_space} values")

@@ -32,9 +32,9 @@ from .fields import (
     complete_basis,
     field_from_order,
     identity_rows,
-    in_rowspan,
     make_field,
     rank,
+    residual,
     rref,
     solve_combination,
 )
@@ -186,11 +186,13 @@ def algebraic_issues(protocol: LinearProtocol, fam: MessageFamily) -> list[str]:
         keys = [list(r) for r in protocol.key_rows]
         if rank(Matrix(field, trans + keys)) != rank(Matrix(field, trans)) + len(keys):
             issues.append("the keys leak through the transmissions")
+        # one elimination per client: each key is derivable iff its
+        # residual against the reduced transmissions is zero
         for j in range(1, fam.n + 1):
             missing = _missing_cols(fam, j, dim)
-            seen = _restricted(field, trans, missing)
+            basis, pivots = rref(field, _restricted(field, trans, missing).rows)
             for i, key in enumerate(keys):
-                if not in_rowspan(seen, [key[c] for c in missing]):
+                if any(residual(field, basis, pivots, [key[c] for c in missing])):
                     issues.append(f"client {j} cannot derive key {i + 1}")
     return issues
 

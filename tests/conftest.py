@@ -15,6 +15,8 @@ from math import inf
 import numpy as np
 
 from omnikey import MessageFamily, omniscience, oracle, to_hypergraph
+from omnikey.fields import Matrix, rank, solve_combination
+from omnikey.protocols import _missing_cols, _restricted
 
 
 def union_size(fam: MessageFamily, clients) -> int:
@@ -311,6 +313,32 @@ def reference_client_determines(space, cols, t_code, t_space: int, k_code):
     else:
         out = space.flat(k_code)
     return oracle._determines(view, out)
+
+
+def reference_joint_counts(space, k_code, k_space: int, t_code, t_space: int) -> np.ndarray:
+    """The (key, transmission) histogram by one bincount over every state
+    of the grid."""
+    codes = space.flat(k_code) * t_space + space.flat(t_code)
+    return np.bincount(codes, minlength=k_space * t_space).reshape(k_space, t_space)
+
+
+def reference_key_issues(protocol, fam) -> list[str]:
+    """The secret-key rank checks of `algebraic_issues`, one elimination per
+    (client, key) pair: a key is derivable iff `solve_combination` finds
+    it in the span of the client's restricted transmissions."""
+    field = protocol.field
+    trans = [list(r) for r in protocol.rows]
+    keys = [list(r) for r in protocol.key_rows]
+    issues = []
+    if rank(Matrix(field, trans + keys)) != rank(Matrix(field, trans)) + len(keys):
+        issues.append("the keys leak through the transmissions")
+    for j in range(1, fam.n + 1):
+        missing = _missing_cols(fam, j, protocol.dim)
+        seen = _restricted(field, trans, missing)
+        for i, key in enumerate(keys):
+            if solve_combination(seen, [key[c] for c in missing]) is None:
+                issues.append(f"client {j} cannot derive key {i + 1}")
+    return issues
 
 
 def random_family(rng: random.Random, n: int, m: int) -> MessageFamily:

@@ -13,6 +13,7 @@ from omnikey.fields import (
     identity_rows,
     in_rowspan,
     rank,
+    residual,
     rref,
     solve_combination,
 )
@@ -287,9 +288,15 @@ def test_rank_and_span_membership_match_enumeration():
         assert f.q ** rank(mat) == len(span)
         probes = [[rng.randrange(f.q) for _ in range(nc)] for _ in range(6)]
         probes += [list(v) for v in rng.sample(sorted(span), min(4, len(span)))]
+        reduced, pivots = rref(f, rows)
         for vec in probes:
             inside = tuple(vec) in span
             assert in_rowspan(mat, vec) == inside
+            # the residual is vec minus a span vector, and zero at every pivot
+            res = residual(f, reduced, pivots, vec)
+            assert any(res) != inside
+            assert tuple(f.sub(v, r) for v, r in zip(vec, res)) in span
+            assert all(res[c] == 0 for c in pivots)
             coeffs = solve_combination(mat, vec)
             assert (coeffs is not None) == inside
             if coeffs is not None:

@@ -293,6 +293,38 @@ def test_mutual_information_exact_values():
     assert 0.0 < mi < 1.0
 
 
+def test_independence_compares_bounded_blocks_of_wide_rows(monkeypatch):
+    block = oracle_mod._INDEPENDENCE_BLOCK
+    width = 3 * block // 2
+    rng = np.random.default_rng(5)
+    counts = np.outer(np.arange(1, 5), rng.integers(1, 4, width)).astype(np.int64)
+    sizes = []
+    real = np.array_equal
+
+    def spy(a, b):
+        sizes.append(max(np.size(a), np.size(b)))
+        return real(a, b)
+
+    monkeypatch.setattr(np, "array_equal", spy)
+    assert oracle_mod._independence(counts, int(counts.sum())) == (True, 0.0)
+    assert max(sizes) <= block
+    assert sum(sizes) == counts.size
+    # a dependence in the last column block that keeps both marginals;
+    # the bits are those of the whole table
+    counts[-2:, -2:] += np.array([[-1, 1], [1, -1]])
+    states = int(counts.sum())
+    keys, trans = counts.sum(axis=1), counts.sum(axis=0)
+    nz = counts > 0
+    c = counts[nz].astype(np.float64)
+    bits = float(np.sum(c / states * np.log2(c * states / np.outer(keys, trans)[nz])))
+    sizes.clear()
+    assert oracle_mod._independence(counts, states) == (False, bits)
+    assert bits > 0.0
+    assert max(sizes) <= block
+    # the scan stopped at the last column block of the first changed row
+    assert sum(sizes) == 3 * width
+
+
 # 131 is the smallest prime whose residue sums overflow uint8
 @pytest.mark.parametrize(
     "order, most",

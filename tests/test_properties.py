@@ -17,6 +17,7 @@ from hypothesis import strategies as st
 from omnikey import (
     LinearProtocol,
     MessageFamily,
+    algebraic_issues,
     broadcasts_at_most,
     demand,
     field_from_order,
@@ -45,6 +46,8 @@ from conftest import (
     brute_tight_sets,
     reference_client_determines,
     reference_determines,
+    reference_joint_counts,
+    reference_key_issues,
 )
 
 
@@ -223,6 +226,51 @@ def test_client_checks_match_the_whole_grid(case):
     )
     # enumeration and the rank conditions agree on every client
     assert sorted(set(clients(report.failures, "algebra: client "))) == failing
+
+
+@settings(deadline=None, max_examples=300)
+@given(linear_protocols())
+def test_key_derivation_matches_the_per_key_reference(case):
+    fam, proto = case
+    issues = algebraic_issues(proto, fam)
+    if proto.kind == "secret-key":
+        rank_issues = [s for s in issues if not s.startswith("transmission ")]
+        assert rank_issues == reference_key_issues(proto, fam)
+
+
+@st.composite
+def key_and_transmission_codes(draw):
+    """(space, key code, key code count, transmission code, transmission
+    code count) from random rows on a grid of at most four coordinates.  With
+    `split` drawn, the key rows use only the coordinates in a drawn set
+    and the transmission rows only the others, so the two codes share no
+    axis."""
+    q = draw(st.sampled_from((2, 3, 4, 5, 7, 9)))
+    ncoords = draw(st.integers(1, 4))
+    space = oracle._Space(field_from_order(q), ncoords)
+    split = draw(st.booleans())
+    key_cols = set(draw(st.lists(st.integers(0, ncoords - 1), max_size=ncoords)))
+    row = st.lists(st.integers(0, q - 1), min_size=ncoords, max_size=ncoords)
+
+    def rows(least, keep):
+        return [
+            [v if keep(c) or not split else 0 for c, v in enumerate(r)]
+            for r in draw(st.lists(row, min_size=least, max_size=2))
+        ]
+
+    keys = rows(1, lambda c: c in key_cols)
+    trans = rows(0, lambda c: c not in key_cols)
+    k_code = space.pack(space.eval_row(r) for r in keys)
+    t_code = space.pack(space.eval_row(r) for r in trans)
+    return space, k_code, q ** len(keys), t_code, q ** len(trans)
+
+
+@settings(deadline=None, max_examples=300)
+@given(key_and_transmission_codes())
+def test_joint_counts_match_the_whole_grid_bincount(case):
+    got = case[0].joint_counts(*case[1:])
+    assert got.dtype == np.int64
+    assert np.array_equal(got, reference_joint_counts(*case))
 
 
 def synthesized(fam, seed, field):

@@ -6,6 +6,8 @@ import time
 
 import pytest
 
+import omnikey.fields as fields_mod
+import omnikey.protocols as protocols_mod
 from omnikey import (
     LinearProtocol,
     MessageFamily,
@@ -351,6 +353,32 @@ def test_algebraic_issues_name_the_problem():
     )
     issues = algebraic_issues(undecodable, fam)
     assert any("cannot derive" in s for s in issues)
+
+
+def test_algebraic_issues_reduce_each_client_once(monkeypatch):
+    calls = []
+    real = fields_mod.rref
+
+    def counting(field, rows):
+        calls.append(field)
+        return real(field, rows)
+
+    monkeypatch.setattr(fields_mod, "rref", counting)
+    monkeypatch.setattr(protocols_mod, "rref", counting)
+    fam = make_pin(5)
+    proto = synth_sk(fam, 2)
+    assert len(proto.key_rows) == 2
+    # holding nothing, client 1 hears what an eavesdropper hears and can
+    # derive neither key
+    blind = MessageFamily(fam.n, fam.m, (0,) + fam.masks[1:])
+    underivable = ["client 1 cannot derive key 1", "client 1 cannot derive key 2"]
+    for family, failing in ((fam, []), (blind, underivable)):
+        calls.clear()
+        issues = algebraic_issues(proto, family)
+        assert [s for s in issues if "cannot derive" in s] == failing
+        # two ranks for the leak check, then one elimination per client
+        # however many keys it has to derive
+        assert len(calls) == 2 + fam.n
 
 
 def test_algebraic_issues_shape_mismatch():
