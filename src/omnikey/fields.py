@@ -7,20 +7,20 @@ coefficient.  Extension fields multiply through discrete log/antilog
 tables built once at construction, so q is capped at 2**16, and an order
 above the cap is refused before any primality test or table is built.
 
-All linear algebra goes through one Gauss-Jordan routine, `rref`, which
-returns the reduced row echelon rows and their pivot columns.  Rank is
-the pivot count; `residual` reduces one vector against the reduced rows,
-so span membership is one `rref` plus a residual per vector;
-`solve_combination` reduces the augmented transpose and reads a witness
-off the pivots; basis completion grows the reduced rows one unit vector
-at a time.
+Matrices are plain equal-length rows, passed as `(field, rows, ...)`.
+One Gauss-Jordan routine, `rref`, refuses ragged rows and returns the
+reduced rows and their pivots; rank is the pivot count, span membership
+a `residual` per vector, and basis completion one `rref` of the rows
+with their columns reversed (its pivots are where span vectors end).
+The protocols decode from a client's transmissions cut to the
+coordinates it lacks, augmented with what its own values leave
+unexplained: one `rref` decodes every message or derives every key.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import lru_cache
-from typing import Iterable, Sequence
+from typing import Sequence
 
 from .errors import InputFormatError, SizeGuardError
 
@@ -28,7 +28,6 @@ MAX_ORDER = 1 << 16
 
 __all__ = [
     "Field",
-    "Matrix",
     "make_field",
     "field_from_order",
     "rref",
@@ -328,33 +327,22 @@ def field_from_order(q: int) -> Field:
 
 
 # ---------------------------------------------------------------------------
-# matrices
+# linear algebra on plain rows
 # ---------------------------------------------------------------------------
 
 
-@dataclass
-class Matrix:
-    """Row-major matrix over a fixed field; rows are lists of element codes."""
-
-    field: Field
-    rows: list[list[int]]
-
-    def __post_init__(self) -> None:
-        width = len(self.rows[0]) if self.rows else 0
-        for r in self.rows:
-            if len(r) != width:
-                raise InputFormatError("ragged matrix rows")
-
-    @property
-    def nrows(self) -> int:
-        return len(self.rows)
-
-    @property
-    def ncols(self) -> int:
-        return len(self.rows[0]) if self.rows else 0
+Rows = Sequence[Sequence[int]]
 
 
-def rref(field: Field, rows: Sequence[Sequence[int]]) -> tuple[list[list[int]], list[int]]:
+def _width(rows: Rows) -> int:
+    """The common row length (0 without rows); ragged rows are refused."""
+    width = len(rows[0]) if rows else 0
+    if any(len(r) != width for r in rows):
+        raise InputFormatError("ragged matrix rows")
+    return width
+
+
+def rref(field: Field, rows: Rows) -> tuple[list[list[int]], list[int]]:
     """Reduced row echelon form by Gauss-Jordan elimination.
 
     Returns the nonzero reduced rows, each with a leading 1, and their
@@ -362,7 +350,7 @@ def rref(field: Field, rows: Sequence[Sequence[int]]) -> tuple[list[list[int]], 
     The reduced rows depend only on the row space, not on the input order.
     """
     work = [list(r) for r in rows]
-    ncols = len(work[0]) if work else 0
+    ncols = _width(work)
     pivots: list[int] = []
     for c in range(ncols):
         r = len(pivots)
@@ -382,14 +370,12 @@ def rref(field: Field, rows: Sequence[Sequence[int]]) -> tuple[list[list[int]], 
     return work[: len(pivots)], pivots
 
 
-def rank(mat: Matrix) -> int:
-    """Rank over the matrix's own field."""
-    return len(rref(mat.field, mat.rows)[1])
+def rank(field: Field, rows: Rows) -> int:
+    """Rank of the rows over the field."""
+    return len(rref(field, rows)[1])
 
 
-def residual(
-    field: Field, basis: Sequence[Sequence[int]], pivots: Sequence[int], vec: Sequence[int]
-) -> list[int]:
+def residual(field: Field, basis: Rows, pivots: Sequence[int], vec: Sequence[int]) -> list[int]:
     """vec minus its combination of the reduced rows `basis` with pivot
     columns `pivots`, as `rref` returns them.  Each reduced row is 0 in
     the other rows' pivot columns, so one pass clears every pivot column
@@ -402,59 +388,40 @@ def residual(
     return out
 
 
-def in_rowspan(mat: Matrix, vec: Sequence[int]) -> bool:
-    """True iff vec is a linear combination of mat's rows."""
-    if mat.rows and len(vec) != mat.ncols:
+def in_rowspan(field: Field, rows: Rows, vec: Sequence[int]) -> bool:
+    """True iff vec is a linear combination of the rows."""
+    if rows and len(vec) != _width(rows):
         raise InputFormatError("vector length does not match matrix width")
-    basis, pivots = rref(mat.field, mat.rows)
-    return not any(residual(mat.field, basis, pivots, vec))
+    basis, pivots = rref(field, rows)
+    return not any(residual(field, basis, pivots, vec))
 
 
-def solve_combination(mat: Matrix, vec: Sequence[int]) -> list[int] | None:
-    """Coefficients y with y . mat == vec, or None when vec is outside the
+def solve_combination(field: Field, rows: Rows, vec: Sequence[int]) -> list[int] | None:
+    """Coefficients y with y . rows == vec, or None when vec is outside the
     rowspan.  Solved by reducing the transposed system augmented with vec:
     a pivot in the augmented column means no solution, and coefficients
     without a pivot (free ones) are left at 0."""
-    if mat.rows and len(vec) != mat.ncols:
+    if rows and len(vec) != _width(rows):
         raise InputFormatError("vector length does not match matrix width")
-    nr = mat.nrows
-    aug = [[row[c] for row in mat.rows] + [v] for c, v in enumerate(vec)]
-    reduced, pivots = rref(mat.field, aug)
-    if nr in pivots:
+    aug = [[row[c] for row in rows] + [v] for c, v in enumerate(vec)]
+    reduced, pivots = rref(field, aug)
+    if len(rows) in pivots:
         return None
-    coeffs = [0] * nr
+    coeffs = [0] * len(rows)
     for row, c in zip(reduced, pivots):
         coeffs[c] = row[-1]
     return coeffs
 
 
-def complete_basis(mat: Matrix, count: int) -> list[list[int]]:
-    """Deterministically pick `count` unit vectors extending mat to higher
-    rank, scanning e_0, e_1, ... in order and keeping each one that raises
-    the rank.  Unit vectors always suffice (Steinitz exchange)."""
-    field = mat.field
-    ncols = mat.ncols if mat.rows else count
-    span = rref(field, mat.rows)[0]
-    if len(span) + count > ncols:
+def complete_basis(field: Field, rows: Rows, count: int) -> list[list[int]]:
+    """The `count` unit vectors that the scan of e_0, e_1, ... keeping each
+    one that raises the rank picks (without rows, of width `count`).  The
+    scan skips e_j iff some span vector has its last nonzero entry at j,
+    and those positions are the pivots of the rows with their columns
+    reversed.  Unit vectors always suffice (Steinitz exchange)."""
+    width = _width(rows) if rows else count
+    last = {width - 1 - c for c in rref(field, [row[::-1] for row in rows])[1]}
+    if len(last) + count > width:
         raise InputFormatError("not enough dimensions left to extend the basis")
-    picked: list[list[int]] = []
-    for j in range(ncols):
-        if len(picked) == count:
-            break
-        unit = [0] * ncols
-        unit[j] = 1
-        grown = rref(field, span + [unit])[0]
-        if len(grown) > len(span):
-            picked.append(unit)
-            span = grown
-    return picked
-
-
-def identity_rows(ncols: int, positions: Iterable[int]) -> list[list[int]]:
-    """Unit rows e_j for each 0-based position."""
-    out = []
-    for j in positions:
-        row = [0] * ncols
-        row[j] = 1
-        out.append(row)
-    return out
+    free = [j for j in range(width) if j not in last][:count]
+    return [[int(c == j) for c in range(width)] for j in free]

@@ -28,15 +28,12 @@ from .errors import (
 )
 from .fields import (
     Field,
-    Matrix,
     complete_basis,
     field_from_order,
-    identity_rows,
     make_field,
     rank,
     residual,
     rref,
-    solve_combination,
 )
 from .network import GAP_GUARD_M, MessageFamily, make_gap, restrict
 from .omniscience import min_broadcasts
@@ -149,14 +146,11 @@ def _missing_cols(fam: MessageFamily, client: int, dim: int) -> list[int]:
     return [c for c in range(fam.m * dim) if c not in held]
 
 
-def _restricted(field: Field, rows, cols: Sequence[int]) -> Matrix:
-    """The rows cut down to the given columns.
-
-    A client holding coordinates H decodes a vector from its own values
-    plus the rows exactly when the vector's restriction to the other
-    coordinates lies in the span of the rows restricted to them, so the
-    identity rows for H never need to be stacked."""
-    return Matrix(field, [[row[c] for c in cols] for row in rows])
+def _restricted(rows, cols: Sequence[int]) -> list[list[int]]:
+    """The rows cut down to the given columns.  A client holding
+    coordinates H decodes a vector exactly when its restriction to the
+    other coordinates lies in the span of the rows restricted to them."""
+    return [[row[c] for c in cols] for row in rows]
 
 
 def algebraic_issues(protocol: LinearProtocol, fam: MessageFamily) -> list[str]:
@@ -180,17 +174,17 @@ def algebraic_issues(protocol: LinearProtocol, fam: MessageFamily) -> list[str]:
     if protocol.kind == "omniscience":
         for j in range(1, fam.n + 1):
             missing = _missing_cols(fam, j, dim)
-            if rank(_restricted(field, trans, missing)) != len(missing):
+            if rank(field, _restricted(trans, missing)) != len(missing):
                 issues.append(f"client {j} cannot decode every message")
     else:
         keys = [list(r) for r in protocol.key_rows]
-        if rank(Matrix(field, trans + keys)) != rank(Matrix(field, trans)) + len(keys):
+        if rank(field, trans + keys) != rank(field, trans) + len(keys):
             issues.append("the keys leak through the transmissions")
         # one elimination per client: each key is derivable iff its
         # residual against the reduced transmissions is zero
         for j in range(1, fam.n + 1):
             missing = _missing_cols(fam, j, dim)
-            basis, pivots = rref(field, _restricted(field, trans, missing).rows)
+            basis, pivots = rref(field, _restricted(trans, missing))
             for i, key in enumerate(keys):
                 if any(residual(field, basis, pivots, [key[c] for c in missing])):
                     issues.append(f"client {j} cannot derive key {i + 1}")
@@ -230,9 +224,12 @@ def evaluate_rows(field: Field, rows: Sequence[Sequence[int]], values: Sequence[
     return out
 
 
-def _own_values_stack(
+def _client_view(
     protocol: LinearProtocol, fam: MessageFamily, client: int, own, received
-):
+) -> tuple[list[int], list[int], list[list[int]], list[int]]:
+    """The client's own values (0 at the `missing` coordinates it lacks),
+    `missing`, and the `rref` of its transmissions cut to `missing`, each
+    augmented with the heard value minus what the own values explain."""
     if not 1 <= client <= fam.n:
         raise InputFormatError(f"client {client} is not in the family")
     cols = _client_cols(fam, client, protocol.dim)
@@ -242,10 +239,18 @@ def _own_values_stack(
         )
     if len(received) != len(protocol.rows):
         raise InputFormatError("received values must cover every transmission row")
-    width = protocol.m * protocol.dim
-    stack = identity_rows(width, cols) + [list(r) for r in protocol.rows]
-    values = list(own) + list(received)
-    return stack, values
+    field = protocol.field
+    values = [0] * (protocol.m * protocol.dim)
+    for c, v in zip(cols, own):
+        values[c] = v
+    missing = _missing_cols(fam, client, protocol.dim)
+    explained = evaluate_rows(field, protocol.rows, values)
+    view = [
+        [row[c] for c in missing] + [field.sub(heard, part)]
+        for row, heard, part in zip(protocol.rows, received, explained)
+    ]
+    reduced, pivots = rref(field, view)
+    return values, missing, reduced, pivots
 
 
 def decode_messages(
@@ -254,33 +259,36 @@ def decode_messages(
     """All message coordinates as seen by one client after the protocol."""
     if protocol.kind != "omniscience":
         raise InputFormatError("only omniscience protocols decode every message")
-    stack, values = _own_values_stack(protocol, fam, client, own, received)
-    width = protocol.m * protocol.dim
-    reduced, pivots = rref(
-        protocol.field, [row + [val] for row, val in zip(stack, values)]
-    )
-    if pivots[:width] != list(range(width)):
+    values, missing, reduced, pivots = _client_view(protocol, fam, client, own, received)
+    if pivots[: len(missing)] != list(range(len(missing))):
         raise InfeasibleError(f"client {client} cannot decode from this protocol")
-    if width in pivots:
+    if len(missing) in pivots:
         raise InputFormatError("the given values contradict each other")
-    return tuple(row[-1] for row in reduced[:width])
+    for c, row in zip(missing, reduced):
+        values[c] = row[-1]
+    return tuple(values)
 
 
 def compute_key(
     protocol: LinearProtocol, fam: MessageFamily, client: int, own, received
 ) -> tuple[int, ...]:
-    """The key coordinates as computed by one client."""
+    """The key coordinates as computed by one client: each key's own part
+    minus the last entry of its missing part's residual against the view,
+    which must be zero elsewhere for the client to derive the key."""
     if protocol.kind != "secret-key":
         raise InputFormatError("only secret key protocols produce keys")
-    stack, values = _own_values_stack(protocol, fam, client, own, received)
-    mat = Matrix(protocol.field, stack)
-    coeff_rows = []
-    for i, key in enumerate(protocol.key_rows):
-        coeffs = solve_combination(mat, list(key))
-        if coeffs is None:
+    values, missing, reduced, pivots = _client_view(protocol, fam, client, own, received)
+    field = protocol.field
+    out = []
+    own_parts = evaluate_rows(field, protocol.key_rows, values)
+    for i, (key, part) in enumerate(zip(protocol.key_rows, own_parts)):
+        res = residual(field, reduced, pivots, [key[c] for c in missing] + [0])
+        if any(res[:-1]):
             raise InfeasibleError(f"client {client} cannot derive key {i + 1}")
-        coeff_rows.append(coeffs)
-    return tuple(evaluate_rows(protocol.field, coeff_rows, values))
+        out.append(field.sub(part, res[-1]))
+    if len(missing) in pivots:
+        raise InputFormatError("the given values contradict each other")
+    return tuple(out)
 
 
 # ---------------------------------------------------------------------------
@@ -344,7 +352,7 @@ def _search_rows(col_sets, missing_cols, width, seed, fields=None):
                 )
             attempts += 1
             good = all(
-                rank(_restricted(field, rows, cols)) == len(cols) for cols in missing_cols
+                rank(field, _restricted(rows, cols)) == len(cols) for cols in missing_cols
             )
             if good:
                 return field, rows
@@ -412,7 +420,7 @@ def synth_sk(
     sub = restrict(fam, support)
     got, senders, rows_w = _min_omniscience(sub, seed, field)
     assert len(senders) == sub.m - tau
-    keys_w = complete_basis(Matrix(got, list(rows_w)), tau)
+    keys_w = complete_basis(got, rows_w, tau)
     sup_pos = fam.label_positions(support)
 
     def embed(row_w: Sequence[int]) -> tuple[int, ...]:
@@ -521,7 +529,7 @@ def split_gap_protocol(m: int) -> LinearProtocol:
         if use_inf:
             wrow.append(1 if ell == m - 3 else 0)
         wrows.append(wrow)
-    keys_w = complete_basis(Matrix(field, [list(r) for r in wrows]), 2)
+    keys_w = complete_basis(field, wrows, 2)
     proto = LinearProtocol(
         field,
         n,

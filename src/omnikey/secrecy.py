@@ -333,6 +333,8 @@ def parse_set_cover(text: str) -> SetCoverInstance:
     for idx, entry in enumerate(sets, start=1):
         if not isinstance(entry, list):
             raise InputFormatError(f"set {idx} must be a list")
+        if any(isinstance(u, bool) or not isinstance(u, (int, str)) for u in entry):
+            raise InputFormatError(f"set {idx} elements must be integers or strings")
         if len(set(entry)) != len(entry):
             raise InputFormatError(f"set {idx} repeats an element")
         for u in entry:

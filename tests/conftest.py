@@ -15,7 +15,7 @@ from math import inf
 import numpy as np
 
 from omnikey import MessageFamily, omniscience, oracle, to_hypergraph
-from omnikey.fields import Matrix, rank, solve_combination
+from omnikey.fields import rank, solve_combination
 from omnikey.protocols import _missing_cols, _restricted
 
 
@@ -330,13 +330,13 @@ def reference_key_issues(protocol, fam) -> list[str]:
     trans = [list(r) for r in protocol.rows]
     keys = [list(r) for r in protocol.key_rows]
     issues = []
-    if rank(Matrix(field, trans + keys)) != rank(Matrix(field, trans)) + len(keys):
+    if rank(field, trans + keys) != rank(field, trans) + len(keys):
         issues.append("the keys leak through the transmissions")
     for j in range(1, fam.n + 1):
         missing = _missing_cols(fam, j, protocol.dim)
-        seen = _restricted(field, trans, missing)
+        seen = _restricted(trans, missing)
         for i, key in enumerate(keys):
-            if solve_combination(seen, [key[c] for c in missing]) is None:
+            if solve_combination(field, seen, [key[c] for c in missing]) is None:
                 issues.append(f"client {j} cannot derive key {i + 1}")
     return issues
 

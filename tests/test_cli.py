@@ -311,6 +311,15 @@ def test_reduce_uncoverable_exits_one(tmp_path, capsys):
     assert "infeasible" in err
 
 
+def test_reduce_refuses_set_members_outside_the_type_rule(tmp_path, capsys):
+    cover = tmp_path / "cover.json"
+    for member in (True, 1.0, [1]):
+        cover.write_text(json.dumps({"universe": [1, 2], "sets": [[member, 2]]}))
+        code, _, err = run(capsys, "reduce", "--input", str(cover), "--solve")
+        assert code == 2
+        assert "integers or strings" in err
+
+
 def test_missing_file_exits_two(capsys):
     code, _, err = run(capsys, "analyze", "--input", "/no/such/file.json")
     assert code == 2

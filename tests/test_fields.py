@@ -5,12 +5,12 @@ import time
 
 import pytest
 
-from omnikey import Field, Matrix, field_from_order, make_field
+import omnikey.fields as fields_mod
+from omnikey import Field, field_from_order, make_field
 from omnikey.errors import InputFormatError, SizeGuardError
 from omnikey.fields import (
     MAX_ORDER,
     complete_basis,
-    identity_rows,
     in_rowspan,
     rank,
     residual,
@@ -130,10 +130,10 @@ def test_gf4_tables():
 def test_rank_identity_and_duplicates():
     f = field_from_order(5)
     rows = [[1, 0, 0], [0, 1, 0], [0, 0, 1]]
-    assert rank(Matrix(f, rows)) == 3
-    assert rank(Matrix(f, rows + [[1, 1, 1], [2, 0, 3]])) == 3
-    assert rank(Matrix(f, [[0, 0, 0]])) == 0
-    assert rank(Matrix(f, [])) == 0
+    assert rank(f, rows) == 3
+    assert rank(f, rows + [[1, 1, 1], [2, 0, 3]]) == 3
+    assert rank(f, [[0, 0, 0]]) == 0
+    assert rank(f, []) == 0
 
 
 def test_rank_unchanged_by_appending_combinations():
@@ -141,24 +141,24 @@ def test_rank_unchanged_by_appending_combinations():
     f = field_from_order(7)
     for _ in range(25):
         rows = [[rng.randrange(7) for _ in range(5)] for _ in range(4)]
-        r = rank(Matrix(f, rows))
+        r = rank(f, rows)
         assert 0 <= r <= 4
         coeffs = [rng.randrange(7) for _ in range(4)]
         combo = [0] * 5
         for c, row in zip(coeffs, rows):
             for i, v in enumerate(row):
                 combo[i] = f.add(combo[i], f.mul(c, v))
-        assert rank(Matrix(f, rows + [combo])) == r
+        assert rank(f, rows + [combo]) == r
 
 
 def test_in_rowspan():
     f = field_from_order(3)
-    mat = Matrix(f, [[1, 1, 0], [0, 1, 1]])
-    assert in_rowspan(mat, [1, 2, 1])
-    assert in_rowspan(mat, [0, 0, 0])
-    assert in_rowspan(mat, [2, 2, 0])
-    assert not in_rowspan(mat, [1, 0, 1])
-    assert not in_rowspan(mat, [0, 0, 1])
+    rows = [[1, 1, 0], [0, 1, 1]]
+    assert in_rowspan(f, rows, [1, 2, 1])
+    assert in_rowspan(f, rows, [0, 0, 0])
+    assert in_rowspan(f, rows, [2, 2, 0])
+    assert not in_rowspan(f, rows, [1, 0, 1])
+    assert not in_rowspan(f, rows, [0, 0, 1])
 
 
 def test_solve_combination_recovers_a_valid_witness():
@@ -171,7 +171,7 @@ def test_solve_combination_recovers_a_valid_witness():
         for c, row in zip(coeffs, rows):
             for i, v in enumerate(row):
                 target[i] = f.add(target[i], f.mul(c, v))
-        found = solve_combination(Matrix(f, rows), target)
+        found = solve_combination(f, rows, target)
         assert found is not None
         rebuilt = [0] * 6
         for c, row in zip(found, rows):
@@ -182,10 +182,10 @@ def test_solve_combination_recovers_a_valid_witness():
 
 def test_solve_combination_outside_span():
     f = field_from_order(2)
-    mat = Matrix(f, [[1, 0, 0], [0, 1, 0]])
-    assert solve_combination(mat, [0, 0, 1]) is None
-    assert solve_combination(Matrix(f, []), [0, 0]) == []
-    assert solve_combination(Matrix(f, []), [1, 0]) is None
+    rows = [[1, 0, 0], [0, 1, 0]]
+    assert solve_combination(f, rows, [0, 0, 1]) is None
+    assert solve_combination(f, [], [0, 0]) == []
+    assert solve_combination(f, [], [1, 0]) is None
 
 
 def test_complete_basis_extends_to_full_rank():
@@ -194,29 +194,48 @@ def test_complete_basis_extends_to_full_rank():
         f = field_from_order(q)
         for _ in range(10):
             rows = [[rng.randrange(q) for _ in range(5)] for _ in range(2)]
-            mat = Matrix(f, rows)
-            count = 5 - rank(mat)
-            extra = complete_basis(mat, count)
+            count = 5 - rank(f, rows)
+            extra = complete_basis(f, rows, count)
             assert len(extra) == count
-            assert rank(Matrix(f, rows + extra)) == 5
+            assert rank(f, rows + extra) == 5
+
+
+def test_complete_basis_makes_one_elimination(monkeypatch):
+    calls = []
+    real = fields_mod.rref
+
+    def counting(field, rows):
+        calls.append(field)
+        return real(field, rows)
+
+    monkeypatch.setattr(fields_mod, "rref", counting)
+    f = field_from_order(3)
+    rows = [[1, 2, 0, 0, 1], [0, 0, 1, 1, 0]]
+    for count in range(4):
+        calls.clear()
+        assert len(complete_basis(f, rows, count)) == count
+        assert len(calls) == 1
 
 
 def test_complete_basis_rejects_impossible_counts():
     f = field_from_order(2)
-    mat = Matrix(f, [[1, 0], [0, 1]])
     with pytest.raises(InputFormatError):
-        complete_basis(mat, 1)
-
-
-def test_identity_rows():
-    assert identity_rows(4, [0, 2]) == [[1, 0, 0, 0], [0, 0, 1, 0]]
-    assert identity_rows(2, []) == []
+        complete_basis(f, [[1, 0], [0, 1]], 1)
 
 
 def test_ragged_matrix_rejected():
     f = field_from_order(2)
-    with pytest.raises(InputFormatError):
-        Matrix(f, [[1, 0], [1]])
+    for rows in ([[1, 0], [1]], [[1], [1, 0]]):
+        for call in (
+            lambda: rref(f, rows),
+            lambda: rank(f, rows),
+            lambda: in_rowspan(f, rows, [1, 0]),
+            # transposes the rows before it reaches rref
+            lambda: solve_combination(f, rows, [1, 0]),
+            lambda: complete_basis(f, rows, 1),
+        ):
+            with pytest.raises(InputFormatError, match="ragged"):
+                call()
 
 
 def test_oversized_orders_are_refused_before_any_primality_test():
@@ -283,21 +302,20 @@ def test_rref_is_reduced_and_spans_the_same_space():
 
 def test_rank_and_span_membership_match_enumeration():
     for f, rows, nc, rng in random_matrices(42):
-        mat = Matrix(f, rows)
         span = brute_span(f, rows, nc)
-        assert f.q ** rank(mat) == len(span)
+        assert f.q ** rank(f, rows) == len(span)
         probes = [[rng.randrange(f.q) for _ in range(nc)] for _ in range(6)]
         probes += [list(v) for v in rng.sample(sorted(span), min(4, len(span)))]
         reduced, pivots = rref(f, rows)
         for vec in probes:
             inside = tuple(vec) in span
-            assert in_rowspan(mat, vec) == inside
+            assert in_rowspan(f, rows, vec) == inside
             # the residual is vec minus a span vector, and zero at every pivot
             res = residual(f, reduced, pivots, vec)
             assert any(res) != inside
             assert tuple(f.sub(v, r) for v, r in zip(vec, res)) in span
             assert all(res[c] == 0 for c in pivots)
-            coeffs = solve_combination(mat, vec)
+            coeffs = solve_combination(f, rows, vec)
             assert (coeffs is not None) == inside
             if coeffs is not None:
                 assert len(coeffs) == len(rows)
@@ -306,12 +324,11 @@ def test_rank_and_span_membership_match_enumeration():
 
 def test_complete_basis_matches_the_unit_vector_scan():
     for f, rows, nc, _ in random_matrices(43, per_field=15):
-        mat = Matrix(f, rows)
-        free = nc - rank(mat)
+        free = nc - rank(f, rows)
         for count in range(free + 1):
             # a matrix without rows takes its width from the count
             width = nc if rows else count
-            assert complete_basis(mat, count) == brute_unit_completion(f, rows, width, count)
+            assert complete_basis(f, rows, count) == brute_unit_completion(f, rows, width, count)
         if rows:
             with pytest.raises(InputFormatError):
-                complete_basis(mat, free + 1)
+                complete_basis(f, rows, free + 1)

@@ -2,6 +2,7 @@ from __future__ import annotations
 
 import json
 import random
+import time
 
 import pytest
 
@@ -16,7 +17,7 @@ from omnikey import (
     to_hypergraph,
 )
 from omnikey.errors import InputFormatError, SizeGuardError
-from omnikey.network import GAP_GUARD_M
+from omnikey.network import GAP_GUARD_M, PIN_GUARD_N
 
 from conftest import random_family
 
@@ -56,6 +57,27 @@ def test_rejects_unheld_message():
     with pytest.raises(InputFormatError) as exc:
         MessageFamily.from_holdings(2, 3, [[1], [3]])
     assert "2" in str(exc.value)
+
+
+def test_unheld_messages_are_refused_briefly():
+    # enough entries to pass the count check: the unheld labels are listed
+    with pytest.raises(InputFormatError) as exc:
+        MessageFamily.from_holdings(2, 3, [[1, 3], [3]])
+    assert str(exc.value) == "messages held by nobody: [2]"
+    with pytest.raises(InputFormatError) as exc:
+        MessageFamily(1, 30, (1,))
+    assert str(exc.value) == (
+        "messages held by nobody: [2, 3, 4, 5, 6, 7, 8, 9, 10, 11] and 19 more"
+    )
+    # more messages than holding entries: refused before any work sized by m
+    text = json.dumps({"clients": 1, "messages": 4_000_000, "holdings": [[1]]})
+    started = time.perf_counter()
+    with pytest.raises(InputFormatError) as exc:
+        parse_network(text)
+    assert time.perf_counter() - started < 0.5
+    assert len(str(exc.value)) < 100
+    with pytest.raises(InputFormatError):
+        parse_network(json.dumps({"clients": 1, "messages": 10**18, "holdings": [[1]]}))
 
 
 def test_parse_network_happy_path():
@@ -148,6 +170,15 @@ def test_pin_family_shape():
     assert edges == [(1, 2), (1, 3), (1, 4), (2, 3), (2, 4), (3, 4)]
     with pytest.raises(InputFormatError):
         make_pin(1)
+
+
+def test_pin_family_refuses_large_n_at_once():
+    assert make_pin(PIN_GUARD_N).m == PIN_GUARD_N * (PIN_GUARD_N - 1) // 2
+    started = time.perf_counter()
+    for n in (PIN_GUARD_N + 1, 3000, 10**12):
+        with pytest.raises(SizeGuardError):
+            make_pin(n)
+    assert time.perf_counter() - started < 1.0
 
 
 def test_cyclic15_shape():

@@ -35,7 +35,7 @@ from omnikey import (
     verify_exhaustive,
 )
 from omnikey.errors import InfeasibleError, SynthesisExhaustedError
-from omnikey.fields import Matrix, rank
+from omnikey.fields import rank
 from omnikey.omniscience import _decision_keep, _family_tables
 from omnikey.oracle import _determines
 from omnikey.protocols import _client_cols
@@ -309,5 +309,4 @@ def test_protocols_survive_a_json_round_trip(fam, seed, field, gap):
 @given(families(), st.integers(0, 3), st.sampled_from((None, 2, 3, 4)))
 def test_synthesized_transmissions_are_independent(fam, seed, field):
     for proto in synthesized(fam, seed, field):
-        rows = Matrix(proto.field, [list(r) for r in proto.rows])
-        assert rank(rows) == len(proto.senders)
+        assert rank(proto.field, proto.rows) == len(proto.senders)

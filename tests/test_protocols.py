@@ -146,6 +146,45 @@ def test_decoding_flags_contradictory_values():
     assert decoded != truth
 
 
+def test_compute_key_flags_contradictory_values():
+    # client 1 holds messages 1 and 2 and hears message 2 again; client 2
+    # holds messages 2 and 3 and cannot reach message 1
+    fam = MessageFamily.from_holdings(2, 3, [[1, 2], [2, 3]])
+    proto = LinearProtocol(GF2, 2, 3, "secret-key", (2,), ((0, 1, 0),), ((1, 1, 0),))
+    assert compute_key(proto, fam, 1, [1, 1], [1]) == (0,)
+    with pytest.raises(InputFormatError, match="contradict"):
+        compute_key(proto, fam, 1, [1, 1], [0])
+    # an underivable key is reported before a contradiction
+    underivable = LinearProtocol(GF2, 2, 3, "secret-key", (2,), ((0, 1, 0),), ((0, 0, 1),))
+    with pytest.raises(InfeasibleError):
+        compute_key(underivable, fam, 1, [1, 1], [0])
+    with pytest.raises(InfeasibleError):
+        compute_key(proto, fam, 2, [1, 1], [1])
+
+
+def test_compute_key_reduces_the_view_once(monkeypatch):
+    calls = []
+    real = fields_mod.rref
+
+    def counting(field, rows):
+        calls.append(field)
+        return real(field, rows)
+
+    fam = make_pin(5)
+    proto = synth_sk(fam, 2)
+    assert len(proto.key_rows) == 2
+    monkeypatch.setattr(fields_mod, "rref", counting)
+    monkeypatch.setattr(protocols_mod, "rref", counting)
+    rng = random.Random(37)
+    values = [rng.randrange(proto.field.q) for _ in range(fam.m)]
+    heard = broadcast_values(proto, fam, values)
+    truth = tuple(evaluate_rows(proto.field, proto.key_rows, values))
+    for j in range(1, fam.n + 1):
+        calls.clear()
+        assert compute_key(proto, fam, j, client_view(fam, proto, j, values), heard) == truth
+        assert len(calls) == 1
+
+
 def test_decode_rejects_wrong_shapes():
     fam = make_pin(3)
     proto = synth_omniscience(fam)
