@@ -30,23 +30,36 @@ that coordinate's axis: prime fields add and reduce mod p in uint8 or
 uint16, and only prime-power fields gather from q x q addition and
 multiplication tables.  A value spans only the axes it depends on until
 it is combined with others, and a client's view is checked with one
-stable sort of its own-zero slice.
+stable sort of its own-zero slice.  Omniscience mode packs the
+transmission rows into that view on the slice alone, q**(width - own)
+states per client, and never packs a transmission code over the whole
+grid; secret-key mode packs the whole code once for the histogram and
+slices it.
 
 The (key, transmission) histogram is counted from the two codes as they
 stand.  When they share no axis, every key point meets every
 transmission point on the same number of states, so the histogram is the
 outer product of the two codes' bincounts times that number: exact
-integers, with no code over both sets of axes ever built.  This is the
-usual case in functional mode, where independent rows span one axis
-each.  When they share an axis, the combined code is built over the axes
-either depends on and counted with one bincount.  Independence is then
-checked against the product of the marginals in blocks of at most
+integers, kept as those two factors, with no code over both sets of axes
+and no table of every cell built unless `JointHistogram.counts` is read.
+This is the usual case in functional mode, where independent rows span
+one axis each.  Such a histogram is independent by construction, so its
+verdict is the disjoint-axes test itself, with exactly 0.0 bits: with
+the keys on axes A and the transmissions on disjoint axes B, count[k, t]
+= kc[k] * tc[t] * q**rest, where kc and tc count the points of A and B
+that take k and t, and the key and transmission marginals are kc[k] *
+q**(|B| + rest) and tc[t] * q**(|A| + rest), so count * N == key *
+trans in every cell, N being q**(|A| + |B| + rest).  When the
+codes share an axis, the combined code is built over the axes either
+depends on and counted with one bincount, and independence is checked
+against the product of the marginals in blocks of at most
 _INDEPENDENCE_BLOCK cells.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -72,21 +85,51 @@ _INDEPENDENCE_BLOCK = 1 << 16
 _MAX_COUNTEREXAMPLES = 3
 
 
-@dataclass(frozen=True)
 class JointHistogram:
-    """Exact joint counts of (key tuple, transmission tuple) codes."""
+    """Exact joint counts of (key tuple, transmission tuple) codes: `counts`
+    has shape (q**key_rows, q**trans_rows).  A histogram of codes on
+    disjoint axes is kept as its two `factors`, counts = outer(key
+    factor, transmission factor), and the table is multiplied out when
+    `counts` is first read."""
 
-    counts: np.ndarray
-    states: int
-    q: int
-    key_rows: int
-    trans_rows: int
+    def __init__(
+        self,
+        counts: np.ndarray | None,
+        states: int,
+        q: int,
+        key_rows: int,
+        trans_rows: int,
+        factors: tuple[np.ndarray, np.ndarray] | None = None,
+    ):
+        self.states = states
+        self.q = q
+        self.key_rows = key_rows
+        self.trans_rows = trans_rows
+        self.factors = factors
+        if counts is not None:
+            # a cached_property returns the instance's own entry when set
+            self.__dict__["counts"] = counts
+
+    @cached_property
+    def counts(self) -> np.ndarray:
+        return np.outer(*self.factors)
 
     def key_marginal(self) -> np.ndarray:
+        if self.factors is not None:
+            return self.factors[0] * self.factors[1].sum()
         return self.counts.sum(axis=1)
 
     def trans_marginal(self) -> np.ndarray:
+        if self.factors is not None:
+            return self.factors[0].sum() * self.factors[1]
         return self.counts.sum(axis=0)
+
+    def independence(self) -> tuple[bool, float]:
+        """(exactly independent?, bits); a factored histogram is
+        independent by construction (see the module docstring)."""
+        if self.factors is not None:
+            return True, 0.0
+        return _independence(np.asarray(self.counts, dtype=np.int64), self.states)
 
 
 def _independence(counts: np.ndarray, states: int) -> tuple[bool, float]:
@@ -118,7 +161,7 @@ def _independence(counts: np.ndarray, states: int) -> tuple[bool, float]:
 def mutual_information_exact(hist: JointHistogram) -> float:
     """Bits between keys and transmissions; exactly 0.0 when the integer
     independence identity count * N == key_count * trans_count holds."""
-    return _independence(hist.counts.astype(np.int64), hist.states)[1]
+    return hist.independence()[1]
 
 
 @dataclass(frozen=True)
@@ -217,12 +260,13 @@ class _Space:
 
     def joint_counts(
         self, keys: np.ndarray, key_space: int, trans: np.ndarray, trans_space: int
-    ) -> np.ndarray:
-        """How many states take each (key code, transmission code) pair,
-        as int64 counts of shape (key_space, trans_space).  Every point of
-        the axes a value depends on stands for the same number of states,
-        so codes on disjoint axes are counted apart and multiplied (see the
-        module docstring)."""
+    ) -> np.ndarray | tuple[np.ndarray, np.ndarray]:
+        """How many states take each (key code, transmission code) pair:
+        int64 counts of shape (key_space, trans_space), or, when the codes
+        share no axis, the int64 key and transmission factors whose outer
+        product they are.  Every point of the axes a value depends on
+        stands for the same number of states, so codes on disjoint axes
+        are counted apart (see the module docstring)."""
         if any(k > 1 and t > 1 for k, t in zip(keys.shape, trans.shape)):
             codes = keys * trans_space + trans
             joint = np.bincount(codes.ravel(), minlength=key_space * trans_space)
@@ -230,7 +274,15 @@ class _Space:
             return joint.reshape(key_space, trans_space)
         key_counts = np.bincount(keys.ravel(), minlength=key_space)
         key_counts *= self.states // (keys.size * trans.size)
-        return np.outer(key_counts, np.bincount(trans.ravel(), minlength=trans_space))
+        return key_counts, np.bincount(trans.ravel(), minlength=trans_space)
+
+    def zero_at(self, values: np.ndarray, own) -> np.ndarray:
+        """The values of the states whose coordinates `own` are 0, with
+        those axes kept at length 1."""
+        at = [slice(None)] * self.ncoords
+        for c in own:
+            at[self.ncoords - 1 - c] = slice(0, 1)
+        return values[tuple(at)]
 
     def own_zero(self, values: np.ndarray, own) -> np.ndarray:
         """The values of the states whose coordinates `own` are 0, flat in
@@ -278,15 +330,23 @@ def _determines(view: np.ndarray, out: np.ndarray):
     return False, (int(group[outs == first][-1]), int(group[outs == second][0]))
 
 
-def _client_determines(space: _Space, own, t_code: np.ndarray, k_code: np.ndarray | None):
-    """Does a client holding the coordinates `own` and hearing `t_code` fix
-    the key `k_code`, or every coordinate when it is None?  Returns (ok,
-    pair of clashing state indices or None), checked on the own-zero slice
-    (see the module docstring): the pair `_determines` would find over
-    every state, with the view own_code * q**ntrans + t_code."""
+def _client_determines(space: _Space, own, t_parts, k_code: np.ndarray | None):
+    """Does a client holding the coordinates `own` and hearing the
+    transmissions fix the key `k_code`, or every coordinate when it is
+    None?  `t_parts` are the values `pack` combines into the transmission
+    code: the rows' values, or the code itself as its one part.  Returns
+    (ok, pair of clashing state indices or None), checked on the own-zero
+    slice (see the module docstring), where the parts are packed: the
+    pair `_determines` would find over every state, with the view
+    own_code * q**ntrans + transmission code."""
     index = space.own_zero_index(own)
     out = index if k_code is None else space.own_zero(k_code, own)
-    ok, clash = _determines(space.own_zero(t_code, own), out)
+    if len(t_parts) == 1:
+        # one part is already its own code; slicing it is enough
+        view = t_parts[0]
+    else:
+        view = space.pack(space.zero_at(part, own) for part in t_parts)
+    ok, clash = _determines(space.own_zero(view, own), out)
     if clash is None:
         return ok, None
     return ok, (int(index[clash[0]]), int(index[clash[1]]))
@@ -347,7 +407,7 @@ def verify_exhaustive(protocol: LinearProtocol, fam: MessageFamily) -> VerifyRep
     # transmissions
     if mode == "full" and q ** (width + ntrans) > 1 << 63:
         raise SizeGuardError(f"{q}**{width + ntrans} client views overflow 64-bit codes")
-    t_code = space.pack(space.eval_row(row) for row in active[:ntrans])
+    t_parts = [space.eval_row(row) for row in active[:ntrans]]
     t_space = q**ntrans
 
     hist = None
@@ -362,13 +422,19 @@ def verify_exhaustive(protocol: LinearProtocol, fam: MessageFamily) -> VerifyRep
     else:
         k_code = space.pack(space.eval_row(row) for row in active[ntrans:])
         k_space = q**nkeys
+        t_code = space.pack(t_parts)
         joint = space.joint_counts(k_code, k_space, t_code, t_space)
-        hist = JointHistogram(joint, space.states, q, nkeys, ntrans)
+        # packed for the histogram anyway, so each client slices it whole
+        t_parts = [t_code]
+        if isinstance(joint, tuple):
+            hist = JointHistogram(None, space.states, q, nkeys, ntrans, factors=joint)
+        else:
+            hist = JointHistogram(joint, space.states, q, nkeys, ntrans)
         if np.all(hist.key_marginal() * k_space == space.states):
             checks.append(f"key tuple uniform over {k_space} values")
         else:
             failures.append("key tuple is not uniform")
-        independent, mi = _independence(joint, space.states)
+        independent, mi = hist.independence()
         if independent:
             checks.append("keys exactly independent of the transmissions")
         else:
@@ -383,7 +449,7 @@ def verify_exhaustive(protocol: LinearProtocol, fam: MessageFamily) -> VerifyRep
     if claims is not None:
         for j in range(1, fam.n + 1):
             cols = _client_cols(fam, j, protocol.dim)
-            ok, clash = _client_determines(space, cols, t_code, k_code)
+            ok, clash = _client_determines(space, cols, t_parts, k_code)
             if ok:
                 checks.append(f"client {j} {claims[0]}")
             else:

@@ -3,6 +3,7 @@ from __future__ import annotations
 import json
 import random
 import time
+from itertools import combinations
 
 import pytest
 
@@ -170,6 +171,26 @@ def test_pin_family_shape():
     assert edges == [(1, 2), (1, 3), (1, 4), (2, 3), (2, 4), (3, 4)]
     with pytest.raises(InputFormatError):
         make_pin(1)
+
+
+def test_pin_family_matches_the_pair_scan():
+    for n in range(2, 13):
+        pairs = list(combinations(range(1, n + 1), 2))
+        holdings = [
+            [k + 1 for k, (a, b) in enumerate(pairs) if j in (a, b)]
+            for j in range(1, n + 1)
+        ]
+        assert make_pin(n) == MessageFamily.from_holdings(n, len(pairs), holdings)
+
+
+def test_pin_family_builds_in_one_pass_over_the_pairs():
+    # scanning every pair for each client took 0.13-0.16 s at n = 128
+    best = float("inf")
+    for _ in range(3):
+        started = time.perf_counter()
+        make_pin(PIN_GUARD_N)
+        best = min(best, time.perf_counter() - started)
+    assert best < 0.1
 
 
 def test_pin_family_refuses_large_n_at_once():

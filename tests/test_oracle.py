@@ -2,6 +2,7 @@ from __future__ import annotations
 
 import dataclasses
 import hashlib
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -177,6 +178,29 @@ def test_full_mode_checks_each_client_on_its_own_zero_slice(monkeypatch):
             for j in range(1, fam.n + 1)
         ]
         assert sizes == [(size, size) for size in want]
+
+
+@pytest.mark.parametrize(
+    "fam, proto, most_mib",
+    [
+        # the (key, transmission) table is 49 x 7**6 int64 cells, 45 MiB
+        (make_gap(8), split_gap_protocol(8), 8),
+        # an int64 transmission code over all 11**6 states is 13.5 MiB
+        (make_pin(4), synth_omniscience(make_pin(4), field=11), 4),
+    ],
+    ids=["gap8-split", "pin4-gf11"],
+)
+def test_verification_builds_no_full_grid_temporaries(fam, proto, most_mib):
+    tracemalloc.start()
+    try:
+        report = verify_exhaustive(proto, fam)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert report.ok
+    assert peak < most_mib * 2**20
+    if report.histogram is not None:
+        assert int(report.histogram.counts.sum()) == report.states
 
 
 def test_undecodable_omniscience_is_caught_with_counterexamples():

@@ -7,6 +7,7 @@ draw their own families and never replace a seeded case.
 
 from __future__ import annotations
 
+import dataclasses
 from functools import reduce
 from operator import or_
 
@@ -195,7 +196,8 @@ def test_client_checks_match_the_whole_grid(case):
     fam, proto = case
     width = proto.m * proto.dim
     space = oracle._Space(proto.field, width)
-    t_code = space.pack(space.eval_row(r) for r in proto.rows)
+    t_parts = [space.eval_row(r) for r in proto.rows]
+    t_code = space.pack(t_parts)
     k_code = None
     if proto.kind == "secret-key":
         k_code = space.pack(space.eval_row(r) for r in proto.key_rows)
@@ -203,7 +205,7 @@ def test_client_checks_match_the_whole_grid(case):
     verdicts = []
     for j in range(1, fam.n + 1):
         cols = _client_cols(fam, j, proto.dim)
-        got = oracle._client_determines(space, cols, t_code, k_code)
+        got = oracle._client_determines(space, cols, t_parts, k_code)
         assert got == reference_client_determines(space, cols, t_code, t_space, k_code)
         verdicts.append(got)
     report = verify_exhaustive(proto, fam)
@@ -239,6 +241,72 @@ def test_key_derivation_matches_the_per_key_reference(case):
 
 
 @st.composite
+def disjoint_axis_protocols(draw):
+    """(family, secret-key protocol) from `linear_protocols` with fresh key
+    rows on a drawn set of coordinates and the transmission rows cut to
+    the others, so the key and transmission codes share no grid axis."""
+    fam, proto = draw(linear_protocols())
+    width = proto.m * proto.dim
+    key_cols = draw(st.sets(st.integers(0, width - 1)))
+    row = st.lists(st.integers(0, proto.field.q - 1), min_size=width, max_size=width)
+    keys = draw(st.lists(row, min_size=1, max_size=2))
+    return fam, dataclasses.replace(
+        proto,
+        kind="secret-key",
+        rows=tuple(
+            tuple(0 if c in key_cols else v for c, v in enumerate(r)) for r in proto.rows
+        ),
+        key_rows=tuple(
+            tuple(v if c in key_cols else 0 for c, v in enumerate(k)) for k in keys
+        ),
+    )
+
+
+@settings(deadline=None, max_examples=300)
+@given(st.one_of(linear_protocols(), disjoint_axis_protocols()))
+def test_key_statistics_match_the_whole_grid_histogram(case):
+    fam, proto = case
+    report = verify_exhaustive(proto, fam)
+    if proto.kind == "omniscience":
+        assert (report.histogram, report.mutual_information) == (None, None)
+        return
+    space = oracle._Space(proto.field, proto.m * proto.dim)
+    k_code = space.pack(space.eval_row(r) for r in proto.key_rows)
+    t_code = space.pack(space.eval_row(r) for r in proto.rows)
+    k_space = proto.field.q ** len(proto.key_rows)
+    t_space = proto.field.q ** len(proto.rows)
+    counts = reference_joint_counts(space, k_code, k_space, t_code, t_space)
+    states = space.states
+    keys, trans = counts.sum(axis=1), counts.sum(axis=0)
+    uniform = bool(np.all(keys * k_space == states))
+    independent = np.array_equal(counts * states, np.outer(keys, trans))
+    bits = 0.0
+    if not independent:
+        nz = counts > 0
+        c = counts[nz].astype(np.float64)
+        bits = float(np.sum(c / states * np.log2(c * states / np.outer(keys, trans)[nz])))
+    assert (f"key tuple uniform over {k_space} values" in report.checks) == uniform
+    assert ("key tuple is not uniform" in report.failures) == (not uniform)
+    assert ("keys exactly independent of the transmissions" in report.checks) == independent
+    assert ("keys are correlated with the transmissions" in report.failures) == (
+        not independent
+    )
+    assert report.mutual_information == bits
+    hist = report.histogram
+    disjoint = not any(
+        any(k[c] for k in proto.key_rows) and any(r[c] for r in proto.rows)
+        for c in range(space.ncoords)
+    )
+    assert (hist.factors is not None) == disjoint
+    assert np.array_equal(hist.key_marginal(), keys)
+    assert np.array_equal(hist.trans_marginal(), trans)
+    assert hist.counts.dtype == np.int64
+    assert np.array_equal(hist.counts, counts)
+    if disjoint:
+        assert oracle._independence(hist.counts, states) == (True, 0.0)
+
+
+@st.composite
 def key_and_transmission_codes(draw):
     """(space, key code, key code count, transmission code, transmission
     code count) from random rows on a grid of at most four coordinates.  With
@@ -269,6 +337,9 @@ def key_and_transmission_codes(draw):
 @given(key_and_transmission_codes())
 def test_joint_counts_match_the_whole_grid_bincount(case):
     got = case[0].joint_counts(*case[1:])
+    if isinstance(got, tuple):
+        assert all(factor.dtype == np.int64 for factor in got)
+        got = np.outer(*got)
     assert got.dtype == np.int64
     assert np.array_equal(got, reference_joint_counts(*case))
 
