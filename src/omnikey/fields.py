@@ -396,23 +396,6 @@ def in_rowspan(field: Field, rows: Rows, vec: Sequence[int]) -> bool:
     return not any(residual(field, basis, pivots, vec))
 
 
-def solve_combination(field: Field, rows: Rows, vec: Sequence[int]) -> list[int] | None:
-    """Coefficients y with y . rows == vec, or None when vec is outside the
-    rowspan.  Solved by reducing the transposed system augmented with vec:
-    a pivot in the augmented column means no solution, and coefficients
-    without a pivot (free ones) are left at 0."""
-    if rows and len(vec) != _width(rows):
-        raise InputFormatError("vector length does not match matrix width")
-    aug = [[row[c] for row in rows] + [v] for c, v in enumerate(vec)]
-    reduced, pivots = rref(field, aug)
-    if len(rows) in pivots:
-        return None
-    coeffs = [0] * len(rows)
-    for row, c in zip(reduced, pivots):
-        coeffs[c] = row[-1]
-    return coeffs
-
-
 def complete_basis(field: Field, rows: Rows, count: int) -> list[list[int]]:
     """The `count` unit vectors that the scan of e_0, e_1, ... keeping each
     one that raises the rank picks (without rows, of width `count`).  The

@@ -14,39 +14,37 @@ table, so it has no client-count guard.  `broadcasts_at_most`, and
 through it the secrecy layer's feasibility checks, support walk and
 criticality checks, all decide this way.
 
-The optimum, with its lexicographically smallest allocation, still
-comes from one lazy-cut loop, `_solve`.  It keeps an explicit list of
-subset constraints, seeded with the singletons and co-singletons, and
-fixes a total.  A depth-first search, `_dfs_budget`, looks for the
-lexicographically smallest allocation within that total that meets the
-listed constraints.  If there is none, the total rises by one.
-Otherwise separation scans every subset for the most violated
-constraint: none means the allocation is the answer, else that
-constraint joins the list, which persists across totals.  So the first
-total that succeeds is the optimum, and its first allocation is the
-lexicographically smallest optimal one.  The split is temporary: the
-same pass, searched over totals and run once more in reverse client
-order, gives the optimum and its lexicographically smallest allocation,
-but a faster omniscience workload cannot be measured until the
-benchmark's peak-memory reading stops growing with the batch count.
+The optimum total takes the same pass: `_min_total` binary-searches the
+smallest budget in 0..m that it accepts.  Its lexicographically
+smallest allocation still comes from one lazy-cut loop, `_solve`, run
+once at that total.  It keeps an explicit list of subset constraints,
+seeded with the singletons and co-singletons.  A depth-first search,
+`_dfs_budget`, looks for the lexicographically smallest allocation
+within the total that meets the listed constraints; the optimum's own
+allocation meets them all, so there always is one.  Separation then
+scans every subset for the most violated constraint: none means the
+allocation is the answer, else that constraint joins the list and the
+search runs again.  The split is temporary: the same pass, run once
+more in reverse client order, gives the lexicographically smallest
+allocation too, but a faster omniscience workload cannot be measured
+until the benchmark's peak-memory reading stops growing with the batch
+count.
 
-Separation reads a union table built once per family (n <= 24).  The
-table is one numpy array of shape (ceil(m/64), 2^n): row w holds, for
-every client subset, word w (messages 64w to 64w+63) of the union of its
-members' holdings, so every family size runs the same array code.  The
-right-hand sides and allocation sums derived from it are int32 arrays,
-and the right-hand sides are counted 2^16 subsets at a time, so beside
-the table a solve holds a few int32 arrays and no full-size uint64
-temporary.  Allocation entries are clipped at m + 1 before they are
-summed, which keeps the sums exact and inside int32.  Only this module
-reads the table, and only for the optimum and its certificates; the
-other layers call `min_broadcasts` and `broadcasts_at_most`, or
-`_decision_keep` for a message-filtered family.
+Separation reads the right-hand sides of every subset constraint, built
+once per family (n <= 24) from a union table.  The table is one numpy
+array of shape (ceil(m/64), 2^n): row w holds, for every client subset,
+word w (messages 64w to 64w+63) of the union of its members' holdings,
+so every family size runs the same array code.  It is dropped once the
+right-hand sides, an int32 array, are counted.  Allocation sums are
+int32 too, with entries clipped at m + 1, which keeps the sums exact
+and inside int32.  Only this module reads the right-hand sides, and
+only for the optimum's allocation and its certificates; the other
+layers call `_min_total`, `broadcasts_at_most` or `_decision_keep`.
 
 `separate` reports the most violated subset, smallest client bitmask
 first.  The tight subsets that certify an optimum are derived from the
-union table on first read of `OmniscienceResult.tight_sets`, so a caller
-that never reads them never pays for them.
+right-hand sides on first read of `OmniscienceResult.tight_sets`, so a
+caller that never reads them never pays for them.
 """
 
 from __future__ import annotations
@@ -73,7 +71,6 @@ __all__ = [
 SUBSET_GUARD_N = 24
 _BIG = 1 << 30
 _WORD = (1 << 64) - 1
-_BLOCK = 1 << 16
 
 
 @dataclass(frozen=True)
@@ -96,7 +93,7 @@ class OmniscienceResult:
 def _first_tight_sets(res: OmniscienceResult, count: int | None):
     """`res.tight_sets[:count]`, decoding only the masks it returns."""
     tables = _family_tables(res.family)
-    tight = tables.tight_masks(res.allocation, tables.rhs_for(tables.full_msgs))
+    tight = tables.tight_masks(res.allocation)
     return tuple(
         frozenset(j + 1 for j in range(tables.n) if (mask >> j) & 1)
         for mask in tight[:count]
@@ -123,8 +120,10 @@ def demand(fam: MessageFamily, subset: Iterable[int]) -> int:
 
 
 class _Tables:
-    """Subset-indexed unions of holdings, shared by all solves on a family:
-    `unions[w, s]` is word w of the union over the clients in subset s."""
+    """Right-hand sides of every subset constraint, shared by all solves on
+    a family: `rhs[s]` counts the messages that no client outside subset
+    s holds.  They are counted from a union table, `unions[w, s]` being
+    word w of the union over the clients in s, which is then dropped."""
 
     def __init__(self, fam: MessageFamily):
         if fam.n > SUBSET_GUARD_N:
@@ -133,38 +132,16 @@ class _Tables:
             )
         self.n = fam.n
         self.m = fam.m
-        self.masks = fam.masks
-        self.others = fam.others
         self.full_vars = (1 << fam.n) - 1
-        self.full_msgs = (1 << fam.m) - 1
-        self.unions = np.zeros((-(-fam.m // 64), 1 << fam.n), dtype=np.uint64)
+        words = -(-fam.m // 64)
+        unions = np.zeros((words, 1 << fam.n), dtype=np.uint64)
         for j, mask in enumerate(fam.masks):
             half = 1 << j
-            np.bitwise_or(
-                self.unions[:, :half],
-                self._words(mask)[:, None],
-                out=self.unions[:, half : 2 * half],
-            )
-
-    def _words(self, bits: int) -> np.ndarray:
-        """A message bitmask as 64-message words, lowest first."""
-        return np.array(
-            [(bits >> (64 * w)) & _WORD for w in range(len(self.unions))], dtype=np.uint64
-        )
-
-    def rhs_for(self, keep: int) -> np.ndarray:
-        """Right-hand sides (int32) for every subset index under a message
-        filter: the kept messages minus those the complement holds.  The
-        union words are masked and counted `_BLOCK` subsets at a time, so
-        no full-size uint64 temporary is built."""
-        rhs = np.full(self.full_vars + 1, keep.bit_count(), dtype=np.int32)
-        outside = self.unions[:, ::-1]
-        words = self._words(keep)
-        for lo in range(0, len(rhs), _BLOCK):
-            block = rhs[lo : lo + _BLOCK]
-            for row, word in zip(outside, words):
-                block -= np.bitwise_count(row[lo : lo + _BLOCK] & word)
-        return rhs
+            held = np.array([(mask >> (64 * w)) & _WORD for w in range(words)], dtype=np.uint64)
+            np.bitwise_or(unions[:, :half], held[:, None], out=unions[:, half : 2 * half])
+        self.rhs = np.full(1 << fam.n, fam.m, dtype=np.int32)
+        for row in unions[:, ::-1]:
+            self.rhs -= np.bitwise_count(row)
 
     def _subset_sums(self, alloc: Sequence[int]) -> np.ndarray:
         """Allocation sum (int32) over every client subset.  Entries are
@@ -177,19 +154,19 @@ class _Tables:
             np.add(asum[:half], min(aj, cap), out=asum[half : 2 * half])
         return asum
 
-    def most_violated(self, alloc: Sequence[int], rhs) -> tuple[int, int] | None:
+    def most_violated(self, alloc: Sequence[int]) -> tuple[int, int] | None:
         """(subset_mask, need) with the largest shortfall, or None if feasible."""
         diff = self._subset_sums(alloc)
-        np.subtract(rhs, diff, out=diff)
+        np.subtract(self.rhs, diff, out=diff)
         diff[0] = -1
         diff[self.full_vars] = -1
         idx = int(np.argmax(diff))
         if diff[idx] <= 0:
             return None
-        return idx, int(rhs[idx])
+        return idx, int(self.rhs[idx])
 
-    def tight_masks(self, alloc: Sequence[int], rhs) -> list[int]:
-        eq = np.nonzero(self._subset_sums(alloc) == rhs)[0]
+    def tight_masks(self, alloc: Sequence[int]) -> list[int]:
+        eq = np.nonzero(self._subset_sums(alloc) == self.rhs)[0]
         return [int(s) for s in eq if 0 < s < self.full_vars]
 
 
@@ -267,70 +244,50 @@ def _dfs_budget(
     return ok
 
 
-def _quick_lb(masks: list[int], needs: list[int], n: int) -> int:
-    """Cheap lower bounds: disjoint supports, plus the averaging bound from
-    summing all (n-1)-subset constraints."""
-    lb = _disjoint_bound(list(needs), masks, (1 << n) - 1)
-    co_total = 0
-    single_total = 0
-    for mk, nd in zip(masks, needs):
-        bits = mk.bit_count()
-        if bits == n - 1:
-            co_total += nd
-        elif bits == 1:
-            single_total += nd
-    if n > 1:
-        lb = max(lb, -(-co_total // (n - 1)))
-    return max(lb, single_total)
-
-
 # ---------------------------------------------------------------------------
 # the lazy-cut loop
 # ---------------------------------------------------------------------------
 
 
-def _seed_constraints(tables: _Tables) -> dict[int, int]:
+def _seed_constraints(fam: MessageFamily) -> dict[int, int]:
     """Singleton and co-singleton constraints with positive need, read from
     each client's holdings and the union of everyone else's."""
+    full = (1 << fam.n) - 1
     seeds: dict[int, int] = {}
-    for j in range(tables.n):
+    for j in range(fam.n):
         single = 1 << j
-        for mask, outside in (
-            (single, tables.others[j]),
-            (tables.full_vars ^ single, tables.masks[j]),
-        ):
+        for mask, outside in ((single, fam.others[j]), (full ^ single, fam.masks[j])):
             if mask not in seeds:
-                nd = tables.m - outside.bit_count()
+                nd = fam.m - outside.bit_count()
                 if nd > 0:
                     seeds[mask] = nd
     return seeds
 
 
-def _solve(fam: MessageFamily) -> list[int]:
-    """Lexicographically smallest optimal allocation.
+def _solve(fam: MessageFamily) -> tuple[int, list[int]]:
+    """The optimum total, `_min_total`, and its lexicographically smallest
+    allocation.
 
-    The total starts at `_quick_lb` and rises by one whenever the search
-    finds nothing within it, so the first hit is the lexicographically
-    smallest optimal allocation."""
+    The subset table is built, and its guard checked, before any decision
+    runs.  Every search is at the optimum total, so each finds an
+    allocation, and the first that separation accepts is the answer."""
     n = fam.n
     if n == 1:
-        return [0]
+        return 0, [0]
     tables = _family_tables(fam)
-    seeds = _seed_constraints(tables)
+    total = _min_total(fam)
+    seeds = _seed_constraints(fam)
     masks = list(seeds)
     needs = [seeds[mk] for mk in masks]
-    total = _quick_lb(masks, needs, n)
     cons_at = [[i for i, mk in enumerate(masks) if (mk >> j) & 1] for j in range(n)]
-    rhs = tables.rhs_for(tables.full_msgs)
     known = set(masks)
     while True:
         sol = [0] * n
-        if not _dfs_budget(0, total, sol, list(needs), masks, cons_at):
-            total += 1
-            continue
-        viol = tables.most_violated(sol, rhs)
+        found = _dfs_budget(0, total, sol, list(needs), masks, cons_at)
+        assert found, "the optimum's allocation meets every listed constraint"
+        viol = tables.most_violated(sol)
         if viol is None:
-            return sol
+            return total, sol
         mask, nd = viol
         assert mask not in known
         known.add(mask)
@@ -379,6 +336,22 @@ def _decision_keep(fam: MessageFamily, keep: int, budget: int) -> bool:
         x.append(xi)
         total += xi
     return total >= budget
+
+
+def _min_total(fam: MessageFamily) -> int:
+    """Fewest broadcasts that make every client omniscient: the smallest
+    budget in 0..m that `_decision_keep` accepts, by binary search (a
+    budget that suffices leaves every larger one sufficing, and m always
+    does, each message sent once by a holder)."""
+    full = (1 << fam.m) - 1
+    lo, hi = 0, fam.m
+    while lo < hi:
+        mid = (lo + hi) // 2
+        if _decision_keep(fam, full, mid):
+            hi = mid
+        else:
+            lo = mid + 1
+    return lo
 
 
 def _excess(masks: Sequence[int], x: Sequence[int], outside: int) -> int:
@@ -470,8 +443,8 @@ def _augment(src: int, amount: int, adj, flow, room) -> int:
 def min_broadcasts(fam: MessageFamily) -> OmniscienceResult:
     """Exact minimum number of broadcasts for every client to learn every
     message, with the lexicographically smallest optimal allocation."""
-    vec = _solve(fam)
-    return OmniscienceResult(sum(vec), tuple(vec), fam)
+    total, vec = _solve(fam)
+    return OmniscienceResult(total, tuple(vec), fam)
 
 
 def broadcasts_at_most(fam: MessageFamily, budget: int) -> bool:
@@ -489,9 +462,7 @@ def separate(fam: MessageFamily, allocation: Sequence[int]) -> frozenset[int] | 
         raise InputFormatError("allocation entries must be nonnegative")
     if fam.n == 1:
         return None
-    tables = _family_tables(fam)
-    rhs = tables.rhs_for(tables.full_msgs)
-    viol = tables.most_violated(allocation, rhs)
+    viol = _family_tables(fam).most_violated(allocation)
     if viol is None:
         return None
     mask, _ = viol

@@ -296,13 +296,15 @@ class _Space:
 
     def own_zero_index(self, own) -> np.ndarray:
         """The state index of every state `own_zero` lists, built from the
-        other coordinates' digits alone."""
+        other coordinates' digits alone.  It grows one flat array from the
+        most significant coordinate down, each step giving every index so
+        far its q values of the next coordinate, which is ascending order."""
         digits = np.arange(self.q, dtype=np.int64)
-        index = np.zeros((1,) * self.ncoords, dtype=np.int64)
-        for c in range(self.ncoords):
+        index = np.zeros(1, dtype=np.int64)
+        for c in reversed(range(self.ncoords)):
             if c not in own:
-                index = index + self.along(c, digits * self.q**c)
-        return self.own_zero(index, own)
+                index = (index[:, None] + digits * self.q**c).ravel()
+        return index
 
     def unpack(self, code: int, count: int) -> tuple[int, ...]:
         digits = []

@@ -30,10 +30,11 @@ cannot pass never reach the solver.
 
 Each omniscience decision (does the family, filtered to K, fit within
 |K| - tau broadcasts?) is the polynomial pass `_decision_keep`: one small
-max-flow per client and no subset table.  So `sk_feasible`,
-`min_key_support` and `minimum_cover` take any client count, while
-`max_keys`, `is_critical` and `build_report`, which start from the
-optimum `min_broadcasts`, stay limited to 24 clients.
+max-flow per client and no subset table, and the optimum total
+`_min_total` is a binary search over the same pass.  So `max_keys`,
+`sk_feasible`, `is_critical`, `min_key_support` and `minimum_cover`
+take any client count, while `build_report`, which reports the optimum's
+allocation from `min_broadcasts`, stays limited to 24 clients.
 """
 
 from __future__ import annotations
@@ -44,7 +45,7 @@ from dataclasses import dataclass
 
 from .errors import InfeasibleError, InputFormatError
 from .network import MessageFamily, to_hypergraph
-from .omniscience import _decision_keep, broadcasts_at_most, min_broadcasts
+from .omniscience import _decision_keep, _min_total, broadcasts_at_most, min_broadcasts
 
 __all__ = [
     "max_keys",
@@ -64,7 +65,7 @@ __all__ = [
 
 def max_keys(fam: MessageFamily) -> int:
     """Largest number of message-sized keys the family can agree on."""
-    return fam.m - min_broadcasts(fam).total
+    return fam.m - _min_total(fam)
 
 
 def sk_feasible(fam: MessageFamily, tau: int) -> bool:
@@ -81,7 +82,7 @@ def is_critical(fam: MessageFamily, tau: int) -> bool:
     message loses one: no message is dead weight."""
     if tau < 1:
         raise InputFormatError("tau must be positive")
-    total = min_broadcasts(fam).total
+    total = _min_total(fam)
     if fam.m - total != tau:
         return False
     full = (1 << fam.m) - 1

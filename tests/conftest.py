@@ -15,7 +15,8 @@ from math import inf
 import numpy as np
 
 from omnikey import MessageFamily, omniscience, oracle, to_hypergraph
-from omnikey.fields import rank, solve_combination
+from omnikey.errors import InputFormatError
+from omnikey.fields import _width, rank, rref
 from omnikey.protocols import _missing_cols, _restricted
 
 
@@ -87,6 +88,37 @@ def brute_most_violated(fam: MessageFamily, alloc):
     if worst_bits is None:
         return None
     return frozenset(j + 1 for j in range(n) if worst_bits >> j & 1)
+
+
+def reference_optimum(fam: MessageFamily):
+    """(total, lexicographically smallest allocation) by the lazy-cut loop
+    with the total escalated one broadcast at a time from 0: at each total
+    the package's depth-first search looks for an allocation meeting the
+    listed constraints, and the subset table separates it.  The first total
+    that succeeds is the optimum, reached without the decision pass."""
+    n = fam.n
+    if n == 1:
+        return 0, (0,)
+    tables = omniscience._family_tables(fam)
+    seeds = omniscience._seed_constraints(fam)
+    masks = list(seeds)
+    needs = [seeds[mk] for mk in masks]
+    cons_at = [[i for i, mk in enumerate(masks) if mk >> j & 1] for j in range(n)]
+    total = 0
+    while True:
+        sol = [0] * n
+        if not omniscience._dfs_budget(0, total, sol, list(needs), masks, cons_at):
+            total += 1
+            continue
+        viol = tables.most_violated(sol)
+        if viol is None:
+            return total, tuple(sol)
+        mask, nd = viol
+        masks.append(mask)
+        needs.append(nd)
+        for j in range(n):
+            if mask >> j & 1:
+                cons_at[j].append(len(masks) - 1)
 
 
 def brute_restrict_total(fam: MessageFamily, keep) -> int:
@@ -320,6 +352,23 @@ def reference_joint_counts(space, k_code, k_space: int, t_code, t_space: int) ->
     of the grid."""
     codes = space.flat(k_code) * t_space + space.flat(t_code)
     return np.bincount(codes, minlength=k_space * t_space).reshape(k_space, t_space)
+
+
+def solve_combination(field, rows, vec):
+    """Coefficients y with y . rows == vec, or None when vec is outside the
+    rowspan.  Solved by reducing the transposed system augmented with vec:
+    a pivot in the augmented column means no solution, and coefficients
+    without a pivot (free ones) are left at 0."""
+    if rows and len(vec) != _width(rows):
+        raise InputFormatError("vector length does not match matrix width")
+    aug = [[row[c] for row in rows] + [v] for c, v in enumerate(vec)]
+    reduced, pivots = rref(field, aug)
+    if len(rows) in pivots:
+        return None
+    coeffs = [0] * len(rows)
+    for row, c in zip(reduced, pivots):
+        coeffs[c] = row[-1]
+    return coeffs
 
 
 def reference_key_issues(protocol, fam) -> list[str]:

@@ -15,10 +15,9 @@ from omnikey.fields import (
     rank,
     residual,
     rref,
-    solve_combination,
 )
 
-from conftest import brute_span, brute_unit_completion
+from conftest import brute_span, brute_unit_completion, solve_combination
 
 SMALL_ORDERS = [2, 3, 4, 5, 7, 8, 9, 16, 25]
 

@@ -372,6 +372,24 @@ def test_space_matches_per_state_evaluation(order, most):
             assert space.flat(grid_code(space, cols)).tolist() == want
 
 
+def test_own_zero_index_matches_the_grid_code():
+    # the state code over every coordinate, read on the own-zero slice
+    rng = np.random.default_rng(5)
+    for order, most in ((2, 6), (3, 5), (4, 4), (7, 3)):
+        field = field_from_order(order)
+        for ncoords in range(1, most + 1):
+            space = oracle_mod._Space(field, ncoords)
+            want_all = grid_code(space, list(range(ncoords)))
+            for _ in range(6):
+                own = {int(c) for c in np.flatnonzero(rng.random(ncoords) < 0.5)}
+                want = space.own_zero(want_all, own)
+                got = space.own_zero_index(own)
+                assert got.dtype == np.int64
+                assert got.tolist() == want.tolist()
+            assert space.own_zero_index(set(range(ncoords))).tolist() == [0]
+            assert space.own_zero_index(set()).tolist() == list(range(space.states))
+
+
 def _report_digest(proto, fam) -> str:
     """sha256 of every field of the verify report, or of the guard error."""
     try:

@@ -37,7 +37,7 @@ from omnikey import (
 )
 from omnikey.errors import InfeasibleError, SynthesisExhaustedError
 from omnikey.fields import rank
-from omnikey.omniscience import _decision_keep, _family_tables
+from omnikey.omniscience import _decision_keep, _family_tables, _min_total
 from omnikey.oracle import _determines
 from omnikey.protocols import _client_cols
 
@@ -49,6 +49,7 @@ from conftest import (
     reference_determines,
     reference_joint_counts,
     reference_key_issues,
+    reference_optimum,
 )
 
 
@@ -117,29 +118,35 @@ def test_filtered_decision_matches_brute_force(data):
 @settings(deadline=None, max_examples=150)
 @given(st.data())
 def test_decision_pass_matches_the_lazy_cut_optimum(data):
-    # the decision pass and the optimum's lazy-cut loop share no code
+    # the decision pass and the escalating lazy-cut loop share no code
     fam = data.draw(families(max_n=10, max_m=8))
     keep = data.draw(st.integers(1, (1 << fam.m) - 1))
     kept = [i + 1 for i in range(fam.m) if keep >> i & 1]
-    total = min_broadcasts(restrict(fam, kept)).total
+    total, _ = reference_optimum(restrict(fam, kept))
     for budget in (total - 1, total):
         assert _decision_keep(fam, keep, budget) == (total <= budget)
-    whole = min_broadcasts(fam).total
+    whole, _ = reference_optimum(fam)
     for budget in (whole - 1, whole):
         assert broadcasts_at_most(fam, budget) == (budget >= whole)
 
 
+@settings(deadline=None, max_examples=150)
+@given(families(max_n=10, max_m=8))
+def test_optimum_total_matches_the_escalating_search(fam):
+    # the total from the decision pass's binary search, the allocation from
+    # the cut loop run once at that total
+    res = min_broadcasts(fam)
+    assert (res.total, res.allocation) == reference_optimum(fam)
+    assert res.total == _min_total(fam)
+
+
 @settings(deadline=None, max_examples=200)
-@given(st.data())
-def test_subset_rhs_matches_restricted_demand(data):
+@given(families(max_n=6, max_m=140))
+def test_subset_rhs_matches_restricted_demand(fam):
     # up to 140 messages: one to three words of the union table
-    fam = data.draw(families(max_n=6, max_m=140))
-    kept = data.draw(st.lists(st.booleans(), min_size=fam.m, max_size=fam.m).filter(any))
-    keep = sum(1 << i for i, bit in enumerate(kept) if bit)
-    sub = restrict(fam, [i + 1 for i, bit in enumerate(kept) if bit])
-    rhs = _family_tables(fam).rhs_for(keep)
+    rhs = _family_tables(fam).rhs
     for s in range(1, (1 << fam.n) - 1):
-        assert rhs[s] == demand(sub, [j + 1 for j in range(fam.n) if s >> j & 1])
+        assert rhs[s] == demand(fam, [j + 1 for j in range(fam.n) if s >> j & 1])
 
 
 @settings(deadline=None, max_examples=300)

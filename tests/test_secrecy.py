@@ -29,7 +29,7 @@ from omnikey import (
     secrecy,
     sk_feasible,
 )
-from omnikey.errors import InfeasibleError, InputFormatError
+from omnikey.errors import InfeasibleError, InputFormatError, SizeGuardError
 from omnikey.secrecy import SetCoverInstance, _support_search
 
 from conftest import (
@@ -241,6 +241,20 @@ def test_is_critical():
     assert not is_critical(witness, 2)
     with pytest.raises(InputFormatError):
         is_critical(gap, 0)
+
+
+def test_key_count_and_criticality_past_the_subset_tables():
+    # gap:8 and gap:16 have 29 and 121 clients, past the subset tables' 24:
+    # the optimum total is a search over decisions, which build no table,
+    # while the optimum's allocation still needs one
+    for m in (8, 16):
+        fam = make_gap(m)
+        assert max_keys(fam) == 2
+        assert is_critical(fam, 2)
+        assert not is_critical(fam, 1)
+        assert fam not in omniscience._table_cache
+        with pytest.raises(SizeGuardError):
+            min_broadcasts(fam)
 
 
 def test_every_minimum_support_is_critical():
