@@ -11,7 +11,6 @@ from __future__ import annotations
 
 import argparse
 import json
-import math
 import sys
 import time
 from pathlib import Path
@@ -38,7 +37,7 @@ from .network import (
     parse_network,
     to_hypergraph,
 )
-from .omniscience import _first_tight_sets, min_broadcasts
+from .omniscience import OmniscienceResult, _first_tight_sets
 from .oracle import verify_exhaustive
 from .protocols import (
     protocol_from_json,
@@ -48,13 +47,7 @@ from .protocols import (
     synth_omniscience,
     synth_sk,
 )
-from .secrecy import (
-    build_report,
-    min_key_support,
-    minimum_cover,
-    parse_set_cover,
-    reduce_set_cover,
-)
+from .secrecy import build_report, minimum_cover, parse_set_cover, reduce_set_cover
 
 __all__ = ["main"]
 
@@ -96,7 +89,7 @@ def _int_arg(text: str, what: str) -> int:
 
 
 def _load_family(args) -> MessageFamily:
-    if getattr(args, "gap", None):
+    if getattr(args, "gap", None) is not None:
         return make_gap(args.gap)
     if getattr(args, "input", None):
         return parse_network(_read_text(args.input))
@@ -135,46 +128,26 @@ def _witness_payload(fam: MessageFamily) -> dict:
 def cmd_analyze(args) -> int:
     fam = _load_family(args)
     started = time.perf_counter()
-    if args.tau is not None:
-        if args.all_tau:
-            raise InputFormatError("--tau and --all-tau are mutually exclusive")
-        res = min_broadcasts(fam)
-        support = min_key_support(fam, args.tau)
-        cost = math.inf if support is None else len(support) - args.tau
-        data = {
-            "clients": fam.n,
-            "messages": fam.m,
-            "min_broadcasts": res.total,
-            "allocation": list(res.allocation),
-            "max_keys": fam.m - res.total,
-            "table": [
-                {
-                    "keys": args.tau,
-                    "cost": None if support is None else cost,
-                    "support": None if support is None else list(support),
-                }
-            ],
-        }
-    else:
-        report = build_report(fam)
-        data = {
-            "clients": report.n,
-            "messages": report.m,
-            "min_broadcasts": report.min_broadcasts,
-            "allocation": list(report.allocation),
-            "max_keys": report.max_keys,
-            "table": [
-                {"keys": e.tau, "cost": e.cost, "support": list(e.support)}
-                for e in report.entries
-            ],
-        }
-        if args.all_tau:
-            data["table"].append(
-                {"keys": report.max_keys + 1, "cost": None, "support": None}
-            )
+    if args.tau is not None and args.all_tau:
+        raise InputFormatError("--tau and --all-tau are mutually exclusive")
+    report = build_report(fam, args.tau)
+    table = [
+        {"keys": e.tau, "cost": e.cost, "support": list(e.support)}
+        for e in report.entries
+    ]
+    if args.all_tau or (args.tau is not None and not table):
+        unreached = report.max_keys + 1 if args.tau is None else args.tau
+        table.append({"keys": unreached, "cost": None, "support": None})
+    data = {
+        "clients": report.n,
+        "messages": report.m,
+        "min_broadcasts": report.min_broadcasts,
+        "allocation": list(report.allocation),
+        "max_keys": report.max_keys,
+        "table": table,
+    }
     if args.witness:
-        if args.tau is None:
-            res = min_broadcasts(fam)
+        res = OmniscienceResult(report.min_broadcasts, report.allocation, fam)
         data["tight_sets"] = [sorted(s) for s in _first_tight_sets(res, 10)]
         data["connectivity"] = _witness_payload(fam)
     seconds = time.perf_counter() - started
@@ -214,7 +187,7 @@ def cmd_analyze(args) -> int:
 def cmd_protocol(args) -> int:
     started = time.perf_counter()
     kind = "chain" if args.chain else args.kind
-    if args.gap:
+    if args.gap is not None:
         if args.field is not None:
             raise InputFormatError("the split construction chooses its own field")
         proto = split_gap_protocol(args.gap)

@@ -214,23 +214,6 @@ class _Walk:
         return None
 
 
-def _support_search(
-    fam: MessageFamily, tau: int, start: int
-) -> tuple[int, ...] | None:
-    """Lexicographically first minimum-size message subset (as positions)
-    that still supports tau keys, scanning sizes upward from `start`.
-
-    A combination of `size` messages can only support tau keys if its
-    holders cover every client, the degree floor
-    ceil((n*size - degsum)/(n-1)) <= size - tau holds, which is exactly
-    sum(d_i - 1) >= tau*(n-1), and every client shares at least tau of
-    its messages with someone else (the two-block floors, for n >= 2).
-    The walk prunes branches on the first two and tests the degree and
-    two-block floors at each leaf before it asks for the omniscience
-    decision."""
-    return _Walk(fam).search(tau, start)
-
-
 def min_key_support(fam: MessageFamily, tau: int) -> tuple[int, ...] | None:
     """Labels of the smallest message subset supporting tau keys, or None.
 
@@ -239,7 +222,7 @@ def min_key_support(fam: MessageFamily, tau: int) -> tuple[int, ...] | None:
         raise InputFormatError("tau must be positive")
     if not sk_feasible(fam, tau):
         return None
-    combo = _support_search(fam, tau, tau)
+    combo = _Walk(fam).search(tau, tau)
     assert combo is not None
     return tuple(fam.labels[i] for i in combo)
 
@@ -264,7 +247,8 @@ class KeyCostEntry:
 
 @dataclass(frozen=True)
 class SecrecyReport:
-    """Omniscience optimum plus the full per-key-count cost table."""
+    """Omniscience optimum plus the per-key-count cost table: every
+    feasible key count, or only the one `build_report` was asked for."""
 
     n: int
     m: int
@@ -274,22 +258,28 @@ class SecrecyReport:
     entries: tuple[KeyCostEntry, ...]
 
 
-def build_report(fam: MessageFamily) -> SecrecyReport:
-    """Cost table for every feasible key count.
+def build_report(fam: MessageFamily, tau: int | None = None) -> SecrecyReport:
+    """Omniscience optimum and the cost of every feasible key count, or,
+    given `tau`, of that key count alone (no entry when it is out of
+    reach).
 
     Supports only grow with tau, so each search resumes one past the
     previous size instead of restarting from scratch, on one walk built
-    for the family."""
+    for the family.  Reachability is read off the optimum total, so no
+    key count asks for a further decision on the whole family."""
+    if tau is not None and tau < 1:
+        raise InputFormatError("tau must be positive")
     res = min_broadcasts(fam)
     tmax = fam.m - res.total
+    taus = range(1, tmax + 1) if tau is None else range(tau, min(tau, tmax) + 1)
     entries: list[KeyCostEntry] = []
     walk = _Walk(fam)
     start = 1
-    for tau in range(1, tmax + 1):
-        combo = walk.search(tau, start)
+    for t in taus:
+        combo = walk.search(t, start)
         assert combo is not None
         entries.append(
-            KeyCostEntry(tau, len(combo) - tau, tuple(fam.labels[i] for i in combo))
+            KeyCostEntry(t, len(combo) - t, tuple(fam.labels[i] for i in combo))
         )
         start = len(combo) + 1
     return SecrecyReport(

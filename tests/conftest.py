@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import itertools
 import random
+from fractions import Fraction
 from math import inf
 
 import numpy as np
@@ -151,8 +152,8 @@ def brute_sk_cost(fam: MessageFamily, tau: int):
 
 def reference_support_search(fam: MessageFamily, tau: int, start: int):
     """The support search as one loop over every combination of each size:
-    the same floors and decision calls as `secrecy._support_search`, in
-    the same order, without pruning whole branches.
+    the same floors and decision calls as `secrecy._Walk.search`, in the
+    same order, without pruning whole branches.
 
     The leaf floors are the cover, the degree floor (all singletons) and,
     for n >= 2, every two-block partition {j} | rest: at least tau kept
@@ -224,6 +225,19 @@ def brute_partitions(items):
             out.append(smaller[:i] + [smaller[i] + [head]] + smaller[i + 1 :])
         out.append([[head]] + smaller)
     return out
+
+
+def brute_rate(fam: MessageFamily) -> Fraction:
+    """Fractional omniscience optimum by the partition formula: the maximum,
+    over client partitions P with at least two blocks, of
+    sum over blocks C of (m - |X_C|) / (|P| - 1), where X_C is the union
+    of the holdings of C's clients (0 when n = 1)."""
+    best = Fraction(0)
+    for partition in brute_partitions(range(fam.n)):
+        if len(partition) >= 2:
+            missing = sum(fam.m - union_size(fam, block) for block in partition)
+            best = max(best, Fraction(missing, len(partition) - 1))
+    return best
 
 
 def nash_williams_bound(n: int, edges) -> int:

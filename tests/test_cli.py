@@ -9,8 +9,10 @@ from omnikey import (
     make_pin,
     min_broadcasts,
     network_to_json,
+    omniscience,
     parse_network,
     protocol_from_json,
+    secrecy,
 )
 from omnikey.cli import main
 
@@ -494,3 +496,67 @@ def test_analyze_tau_on_a_deep_support(tmp_path, capsys):
     assert json.loads(out)["table"] == [
         {"keys": m - 5, "cost": 0, "support": list(range(1, m - 4))}
     ]
+
+
+def test_gap_zero_is_refused_not_ignored(tmp_path, capsys):
+    pfile = tmp_path / "pin3.json"
+    code, _, err = run(capsys, "protocol", "--gap", "0", "--preset", "pin:3", "-o", str(pfile))
+    assert code == 2
+    assert "even" in err
+    assert not pfile.exists()
+    assert run(capsys, "protocol", "--preset", "pin:3", "-o", str(pfile))[0] == 0
+    code, _, err = run(
+        capsys, "verify", "--protocol", str(pfile), "--gap", "0", "--preset", "pin:3"
+    )
+    assert code == 2
+    assert "even" in err
+
+
+def _without_seconds(out: str) -> dict:
+    data = json.loads(out)
+    del data["seconds"]
+    return data
+
+
+def test_analyze_tau_asks_no_repeat_decision(tmp_path, monkeypatch, capsys):
+    # the optimum total already says whether tau keys are reachable
+    fam = random_family(random.Random(5), 6, 6)
+    path = tmp_path / "fam.json"
+    path.write_text(network_to_json(fam))
+    rows = {}
+    for tau in ("1", str(fam.m)):
+        code, out, _ = run(capsys, "analyze", "--input", str(path), "--tau", tau, "--json")
+        assert code == 0
+        rows[tau] = _without_seconds(out)
+
+    def refuse(*_):
+        raise AssertionError("repeat decision on the whole family")
+
+    monkeypatch.setattr(secrecy, "broadcasts_at_most", refuse)
+    for tau, want in rows.items():
+        code, out, err = run(capsys, "analyze", "--input", str(path), "--tau", tau, "--json")
+        assert code == 0, err
+        assert _without_seconds(out) == want
+    assert rows[str(fam.m)]["table"] == [{"keys": fam.m, "cost": None, "support": None}]
+
+
+def test_analyze_witness_solves_the_optimum_once(tmp_path, monkeypatch, capsys):
+    fam = random_family(random.Random(6), 6, 6)
+    path = tmp_path / "fam.json"
+    path.write_text(network_to_json(fam))
+    calls = []
+    real = omniscience._solve
+
+    def counted(f):
+        calls.append(f)
+        return real(f)
+
+    monkeypatch.setattr(omniscience, "_solve", counted)
+    for extra in ((), ("--tau", "1")):
+        calls.clear()
+        code, out, _ = run(capsys, "analyze", "--input", str(path), "--witness", "--json", *extra)
+        assert code == 0
+        assert len(calls) == 1
+        assert json.loads(out)["tight_sets"] == [
+            sorted(s) for s in min_broadcasts(fam).tight_sets[:10]
+        ]

@@ -8,6 +8,7 @@ draw their own families and never replace a seeded case.
 from __future__ import annotations
 
 import dataclasses
+import math
 from functools import reduce
 from operator import or_
 
@@ -42,6 +43,7 @@ from omnikey.oracle import _determines
 from omnikey.protocols import _client_cols
 
 from conftest import (
+    brute_rate,
     brute_restrict_total,
     brute_sk_cost,
     brute_tight_sets,
@@ -71,6 +73,14 @@ def families(draw, max_n: int = 7, max_m: int = 6) -> MessageFamily:
 def test_tight_sets_match_brute_force(fam):
     res = min_broadcasts(fam)
     assert res.tight_sets == brute_tight_sets(fam, res.allocation)
+
+
+@settings(deadline=None, max_examples=200)
+@given(families(max_n=7, max_m=9))
+def test_optimum_total_is_the_ceiling_of_the_partition_rate(fam):
+    # Courtade-Wesel: the integer optimum rounds the fractional one up;
+    # n stays at 7 because the brute force lists Bell(n) partitions
+    assert min_broadcasts(fam).total == math.ceil(brute_rate(fam))
 
 
 @settings(deadline=None, max_examples=60)

@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import dataclasses
 import gc
 import json
 import math
@@ -30,7 +31,7 @@ from omnikey import (
     sk_feasible,
 )
 from omnikey.errors import InfeasibleError, InputFormatError, SizeGuardError
-from omnikey.secrecy import SetCoverInstance, _support_search
+from omnikey.secrecy import SetCoverInstance, _Walk
 
 from conftest import (
     brute_max_keys,
@@ -103,6 +104,20 @@ def test_costs_and_supports_grow_with_tau():
         for prev, cur in zip(rep.entries, rep.entries[1:]):
             assert cur.cost >= prev.cost
             assert len(cur.support) > len(prev.support)
+
+
+def test_single_tau_report_is_the_full_reports_entry():
+    rng = random.Random(27)
+    fams = [random_family(rng, rng.randint(1, 6), rng.randint(1, 8)) for _ in range(25)]
+    for fam in fams + [make_cyclic15(), make_pin(5)]:
+        full = build_report(fam)
+        for tau in range(1, full.max_keys + 2):
+            single = build_report(fam, tau)
+            assert single.entries == tuple(e for e in full.entries if e.tau == tau)
+            assert single.entries or tau > full.max_keys
+            assert dataclasses.replace(single, entries=full.entries) == full
+        with pytest.raises(InputFormatError):
+            build_report(fam, 0)
 
 
 def test_support_is_exactly_tau_feasible():
@@ -183,7 +198,7 @@ def test_support_walk_matches_combination_loop(decision_calls):
             want = reference_support_search(fam, tau, start)
             want_calls = decision_calls[0]
             decision_calls[0] = 0
-            assert _support_search(fam, tau, start) == want
+            assert _Walk(fam).search(tau, start) == want
             assert decision_calls[0] == want_calls
 
 
