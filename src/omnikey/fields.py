@@ -12,14 +12,22 @@ One Gauss-Jordan routine, `rref`, refuses ragged rows and returns the
 reduced rows and their pivots; rank is the pivot count, span membership
 a `residual` per vector, and basis completion one `rref` of the rows
 with their columns reversed (its pivots are where span vectors end).
-The protocols decode from a client's transmissions cut to the
-coordinates it lacks, augmented with what its own values leave
+The protocols decode concrete values from a client's transmissions cut
+to the coordinates it lacks, augmented with what its own values leave
 unexplained: one `rref` decodes every message or derives every key.
+Their algebraic checks reduce the transmissions once and work in the
+quotient by their span (see `protocols`).
+
+Every row operation of `rref` and `residual` is one call of the field's
+row kernel, `Field.sub_mul_row(v, f, w)`, the row v - f*w, chosen once
+when the field is built: one comprehension reduced mod p for a prime
+field, XOR with a log/antilog product for GF(2^k), and the element-wise
+`sub` and `mul` for the other prime powers.
 """
 
 from __future__ import annotations
 
-from functools import lru_cache
+from functools import lru_cache, partial
 from typing import Sequence
 
 from .errors import InputFormatError, SizeGuardError
@@ -149,8 +157,30 @@ def _canonical_modulus(p: int, k: int) -> tuple[int, ...]:
     raise AssertionError("no irreducible polynomial found")  # pragma: no cover
 
 
+def _prime_sub_mul_row(p: int, v: Sequence[int], f: int, w: Sequence[int]) -> list[int]:
+    return [(a - f * b) % p for a, b in zip(v, w)]
+
+
+def _binary_sub_mul_row(
+    exp: list[int], log: list[int], v: Sequence[int], f: int, w: Sequence[int]
+) -> list[int]:
+    # characteristic 2: subtraction is XOR, and f*b = exp[log f + log b]
+    lf, order = log[f], len(exp)
+    return [a ^ exp[(lf + log[b]) % order] if b else a for a, b in zip(v, w)]
+
+
+def _generic_sub_mul_row(
+    field: "Field", v: Sequence[int], f: int, w: Sequence[int]
+) -> list[int]:
+    sub, mul = field.sub, field.mul
+    return [sub(a, mul(f, b)) for a, b in zip(v, w)]
+
+
 class Field:
-    """Arithmetic over GF(p^k) on integer element codes."""
+    """Arithmetic over GF(p^k) on integer element codes.
+
+    `sub_mul_row(v, f, w)` is the row v - f*w of two equal-length rows
+    and a nonzero scalar f, computed by the kernel chosen for this field."""
 
     def __init__(self, p: int, k: int, modulus: Sequence[int] | None = None):
         if k < 1:
@@ -176,6 +206,13 @@ class Field:
         self.modulus = modulus
         if k > 1:
             self._build_tables()
+        # partials of module-level functions, so a field still pickles
+        if k == 1:
+            self.sub_mul_row = partial(_prime_sub_mul_row, p)
+        elif p == 2:
+            self.sub_mul_row = partial(_binary_sub_mul_row, self._exp, self._log)
+        else:
+            self.sub_mul_row = partial(_generic_sub_mul_row, self)
 
     # -- construction internals ------------------------------------------
 
@@ -351,21 +388,28 @@ def rref(field: Field, rows: Rows) -> tuple[list[list[int]], list[int]]:
     """
     work = [list(r) for r in rows]
     ncols = _width(work)
+    nrows = len(work)
+    sub_mul_row = field.sub_mul_row
     pivots: list[int] = []
     for c in range(ncols):
         r = len(pivots)
-        if r == len(work):
+        if r == nrows:
             break
-        pivot = next((i for i in range(r, len(work)) if work[i][c] != 0), None)
-        if pivot is None:
+        pivot = r
+        while pivot < nrows and not work[pivot][c]:
+            pivot += 1
+        if pivot == nrows:
             continue
         work[r], work[pivot] = work[pivot], work[r]
-        inv = field.inv(work[r][c])
-        work[r] = [field.mul(inv, v) for v in work[r]]
-        for i in range(len(work)):
-            if i != r and work[i][c] != 0:
-                f = work[i][c]
-                work[i] = [field.sub(v, field.mul(f, w)) for v, w in zip(work[i], work[r])]
+        lead = work[r][c]
+        if lead != 1:
+            inv = field.inv(lead)
+            work[r] = [field.mul(inv, v) for v in work[r]]
+        prow = work[r]
+        for i in range(nrows):
+            f = work[i][c]
+            if f and i != r:
+                work[i] = sub_mul_row(work[i], f, prow)
         pivots.append(c)
     return work[: len(pivots)], pivots
 
@@ -381,10 +425,11 @@ def residual(field: Field, basis: Rows, pivots: Sequence[int], vec: Sequence[int
     the other rows' pivot columns, so one pass clears every pivot column
     of vec, and the residual is all zero iff vec lies in their span."""
     out = list(vec)
+    sub_mul_row = field.sub_mul_row
     for row, c in zip(basis, pivots):
         f = out[c]
         if f:
-            out = [field.sub(v, field.mul(f, w)) for v, w in zip(out, row)]
+            out = sub_mul_row(out, f, row)
     return out
 
 

@@ -370,12 +370,6 @@ def verify_exhaustive(protocol: LinearProtocol, fam: MessageFamily) -> VerifyRep
     failures: list[str] = []
     counterexamples: list[dict] = []
 
-    issues = algebraic_issues(protocol, fam)
-    if issues:
-        failures.extend(f"algebra: {msg}" for msg in issues)
-    else:
-        checks.append("algebraic rank and locality conditions hold")
-
     spanned = protocol.rows + protocol.key_rows
     if q**width <= STATE_GUARD:
         mode = "full"
@@ -409,6 +403,14 @@ def verify_exhaustive(protocol: LinearProtocol, fam: MessageFamily) -> VerifyRep
     # transmissions
     if mode == "full" and q ** (width + ntrans) > 1 << 63:
         raise SizeGuardError(f"{q}**{width + ntrans} client views overflow 64-bit codes")
+
+    # every size guard above fires before this, the first expensive pass
+    issues = algebraic_issues(protocol, fam)
+    if issues:
+        failures.extend(f"algebra: {msg}" for msg in issues)
+    else:
+        checks.append("algebraic rank and locality conditions hold")
+
     t_parts = [space.eval_row(row) for row in active[:ntrans]]
     t_space = q**ntrans
 

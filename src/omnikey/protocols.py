@@ -10,6 +10,18 @@ escalating the field order until the algebraic checks pass.
 A protocol of dimension d splits every message into d components over a
 smaller field; coordinate d*i + c is component c of message i + 1.  A
 scalar protocol is the case d == 1.
+
+A client holding the coordinates H learns exactly the vectors in
+span(T) + span(e_h : h in H), T being the transmission rows, so every
+algebraic check is asked in the quotient V / span(T) after one `rref` of
+T.  With F the non-pivot columns of the reduced rows R, the quotient is
+written on F: a free column maps to its unit vector, the pivot column of
+row i to minus row i of R on F, and any other vector to its `residual`
+against R on F.  A client decodes every message iff the images of H have
+rank |F|, derives a key iff the key's image lies in their span, and the
+keys leak iff their images are dependent.  A client's elimination is then
+|H| rows by |F| columns, instead of every transmission row by every
+coordinate the client lacks.
 """
 
 from __future__ import annotations
@@ -146,11 +158,37 @@ def _missing_cols(fam: MessageFamily, client: int, dim: int) -> list[int]:
     return [c for c in range(fam.m * dim) if c not in held]
 
 
-def _restricted(rows, cols: Sequence[int]) -> list[list[int]]:
-    """The rows cut down to the given columns.  A client holding
-    coordinates H decodes a vector exactly when its restriction to the
-    other coordinates lies in the span of the rows restricted to them."""
-    return [[row[c] for c in cols] for row in rows]
+class _Quotient:
+    """V / span(rows) for rows of the given width, written on the free
+    (non-pivot) columns of their `rref`."""
+
+    def __init__(self, field: Field, rows, width: int):
+        self.field = field
+        self.basis, self.pivots = rref(field, rows)
+        pivot_set = set(self.pivots)
+        self.free = [c for c in range(width) if c not in pivot_set]
+        self.dim = len(self.free)
+        images: list[list[int]] = [[] for _ in range(width)]
+        for i, c in enumerate(self.free):
+            unit = [0] * self.dim
+            unit[i] = 1
+            images[c] = unit
+        # e_c - R[i] lies in the same coset and is zero at every pivot
+        for row, c in zip(self.basis, self.pivots):
+            images[c] = [field.neg(row[f]) for f in self.free]
+        self._images = images
+
+    def images(self, cols: Sequence[int]) -> list[list[int]]:
+        """The images of the unit vectors e_c for c in cols."""
+        return [self._images[c] for c in cols]
+
+    def image(self, vec: Sequence[int]) -> list[int]:
+        res = residual(self.field, self.basis, self.pivots, vec)
+        return [res[f] for f in self.free]
+
+    def spans(self, cols: Sequence[int]) -> bool:
+        """True iff span(rows) + span(e_c : c in cols) is the whole space."""
+        return rank(self.field, self.images(cols)) == self.dim
 
 
 def algebraic_issues(protocol: LinearProtocol, fam: MessageFamily) -> list[str]:
@@ -170,23 +208,22 @@ def algebraic_issues(protocol: LinearProtocol, fam: MessageFamily) -> list[str]:
                     f"transmission {t + 1} uses messages its sender {sender} does not hold"
                 )
                 break
-    trans = [list(r) for r in protocol.rows]
+    quotient = _Quotient(field, protocol.rows, fam.m * dim)
     if protocol.kind == "omniscience":
         for j in range(1, fam.n + 1):
-            missing = _missing_cols(fam, j, dim)
-            if rank(field, _restricted(trans, missing)) != len(missing):
+            if not quotient.spans(_client_cols(fam, j, dim)):
                 issues.append(f"client {j} cannot decode every message")
     else:
-        keys = [list(r) for r in protocol.key_rows]
-        if rank(field, trans + keys) != rank(field, trans) + len(keys):
+        keys = [quotient.image(key) for key in protocol.key_rows]
+        if rank(field, keys) != len(keys):
             issues.append("the keys leak through the transmissions")
         # one elimination per client: each key is derivable iff its
-        # residual against the reduced transmissions is zero
+        # residual against the reduced images of the client's holdings
+        # is zero
         for j in range(1, fam.n + 1):
-            missing = _missing_cols(fam, j, dim)
-            basis, pivots = rref(field, _restricted(trans, missing))
+            basis, pivots = rref(field, quotient.images(_client_cols(fam, j, dim)))
             for i, key in enumerate(keys):
-                if any(residual(field, basis, pivots, [key[c] for c in missing])):
+                if any(residual(field, basis, pivots, key)):
                     issues.append(f"client {j} cannot derive key {i + 1}")
     return issues
 
@@ -331,10 +368,10 @@ def _random_rows(field: Field, col_sets, width: int, rng: random.Random) -> list
     return rows
 
 
-def _search_rows(col_sets, missing_cols, width, seed, fields=None):
+def _search_rows(col_sets, held_cols, width, seed, fields=None):
     """Coefficient rows letting every client reach full width, found by
     escalating fields (or within `fields` only); returns (field, rows).
-    `missing_cols` lists, per client, the coordinates it does not hold."""
+    `held_cols` lists, per client, the coordinates it holds."""
     rng = random.Random(seed)
     attempts = 0
     for field in fields if fields is not None else _field_ladder():
@@ -351,10 +388,8 @@ def _search_rows(col_sets, missing_cols, width, seed, fields=None):
                     f"no decodable coefficient rows after {attempts} attempts"
                 )
             attempts += 1
-            good = all(
-                rank(field, _restricted(rows, cols)) == len(cols) for cols in missing_cols
-            )
-            if good:
+            quotient = _Quotient(field, rows, width)
+            if all(quotient.spans(cols) for cols in held_cols):
                 return field, rows
     raise SynthesisExhaustedError(
         f"no decodable coefficient rows after {attempts} attempts"
@@ -379,9 +414,9 @@ def _min_omniscience(
     for j, a in enumerate(min_broadcasts(fam).allocation, start=1):
         senders.extend([j] * a)
     col_sets = [_positions(fam.masks[s - 1]) for s in senders]
-    missing_cols = [_missing_cols(fam, j, 1) for j in range(1, fam.n + 1)]
+    held_cols = [_client_cols(fam, j, 1) for j in range(1, fam.n + 1)]
     got, rows = _search_rows(
-        col_sets, missing_cols, fam.m, seed, None if field is None else [field]
+        col_sets, held_cols, fam.m, seed, None if field is None else [field]
     )
     return got, tuple(senders), tuple(tuple(r) for r in rows)
 
@@ -498,8 +533,8 @@ def split_gap_protocol(m: int) -> LinearProtocol:
     SizeGuardError."""
     if m < 4 or m % 2:
         raise InputFormatError("the pair-holder family needs an even m of at least 4")
-    # checking all m(m-1)/2 + 1 clients algebraically takes about 4 s at
-    # m = 24 on a 2-vCPU machine, tripling every four messages
+    # the guard also bounds make_gap's m(m-1)/2 + 1 clients; checking them
+    # all algebraically in the quotient takes milliseconds at m = 24
     if m > GAP_GUARD_M:
         raise SizeGuardError(
             f"the split construction supports at most {GAP_GUARD_M} messages, got {m}"

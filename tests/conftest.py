@@ -18,7 +18,7 @@ import numpy as np
 from omnikey import MessageFamily, omniscience, oracle, to_hypergraph
 from omnikey.errors import InputFormatError
 from omnikey.fields import _width, rank, rref
-from omnikey.protocols import _missing_cols, _restricted
+from omnikey.protocols import _missing_cols
 
 
 def union_size(fam: MessageFamily, clients) -> int:
@@ -284,13 +284,16 @@ def spanning_tree_ok(n: int, tree_edges) -> bool:
 
 def brute_span(field, rows, ncols: int) -> set:
     """Every vector in the row span, grown one row at a time by adding
-    each field multiple of the row to everything reached so far."""
+    each field multiple of the row to everything reached so far.  Sums
+    are read from the field's addition table, built once per call."""
+    add = [[field.add(a, b) for b in field.elements()] for a in field.elements()]
     span = {(0,) * ncols}
     for row in rows:
+        multiples = {tuple(field.mul(a, v) for v in row) for a in field.elements()}
         span = {
-            tuple(field.add(s, field.mul(a, v)) for s, v in zip(vec, row))
+            tuple(add[s][t] for s, t in zip(vec, multiple))
             for vec in span
-            for a in field.elements()
+            for multiple in multiples
         }
     return span
 
@@ -385,6 +388,26 @@ def solve_combination(field, rows, vec):
     return coeffs
 
 
+def restricted(rows, cols) -> list[list[int]]:
+    """The rows cut down to the given columns.  A client holding
+    coordinates H decodes a vector exactly when its restriction to the
+    other coordinates lies in the span of the rows restricted to them."""
+    return [[row[c] for c in cols] for row in rows]
+
+
+def reference_decode_issues(protocol, fam) -> list[str]:
+    """The omniscience rank checks of `algebraic_issues` on the raw
+    coordinates: client j decodes every message iff the transmissions cut
+    to the coordinates it lacks have full rank."""
+    trans = [list(r) for r in protocol.rows]
+    issues = []
+    for j in range(1, fam.n + 1):
+        missing = _missing_cols(fam, j, protocol.dim)
+        if rank(protocol.field, restricted(trans, missing)) != len(missing):
+            issues.append(f"client {j} cannot decode every message")
+    return issues
+
+
 def reference_key_issues(protocol, fam) -> list[str]:
     """The secret-key rank checks of `algebraic_issues`, one elimination per
     (client, key) pair: a key is derivable iff `solve_combination` finds
@@ -397,11 +420,29 @@ def reference_key_issues(protocol, fam) -> list[str]:
         issues.append("the keys leak through the transmissions")
     for j in range(1, fam.n + 1):
         missing = _missing_cols(fam, j, protocol.dim)
-        seen = _restricted(trans, missing)
+        seen = restricted(trans, missing)
         for i, key in enumerate(keys):
             if solve_combination(field, seen, [key[c] for c in missing]) is None:
                 issues.append(f"client {j} cannot derive key {i + 1}")
     return issues
+
+
+def reference_issues(protocol, fam) -> list[str]:
+    """Every issue `algebraic_issues` should list, in its order: each
+    transmission with a nonzero coefficient on a message its sender lacks,
+    then the rank checks on the raw coordinates for the protocol's kind."""
+    dim = protocol.dim
+    issues = []
+    for t, sender in enumerate(protocol.senders):
+        held = fam.masks[sender - 1]
+        rows = protocol.rows[t * dim : (t + 1) * dim]
+        if any(v and not held >> (c // dim) & 1 for row in rows for c, v in enumerate(row)):
+            issues.append(
+                f"transmission {t + 1} uses messages its sender {sender} does not hold"
+            )
+    if protocol.kind == "omniscience":
+        return issues + reference_decode_issues(protocol, fam)
+    return issues + reference_key_issues(protocol, fam)
 
 
 def random_family(rng: random.Random, n: int, m: int) -> MessageFamily:

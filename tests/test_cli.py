@@ -10,6 +10,7 @@ from omnikey import (
     min_broadcasts,
     network_to_json,
     omniscience,
+    oracle,
     parse_network,
     protocol_from_json,
     secrecy,
@@ -260,6 +261,20 @@ def test_verify_gap_protocol_json(tmp_path, capsys):
     assert data["states"] == 4**8
     assert data["mutual_information"] == 0.0
     assert data["failures"] == []
+
+
+def test_verify_gap_24_is_refused_before_the_algebraic_pass(tmp_path, capsys, monkeypatch):
+    pfile = tmp_path / "g24.json"
+    code, _, _ = run(capsys, "protocol", "--gap", "24", "-o", str(pfile))
+    assert code == 0
+
+    def refuse(protocol, fam):
+        raise AssertionError("the algebraic pass ran before the size guards")
+
+    monkeypatch.setattr(oracle, "algebraic_issues", refuse)
+    code, _, err = run(capsys, "verify", "--protocol", str(pfile), "--gap", "24")
+    assert code == 3
+    assert "exceed the enumeration guard" in err
 
 
 def test_reduce_emits_family(tmp_path, capsys):

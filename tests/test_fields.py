@@ -258,7 +258,18 @@ def test_order_at_the_cap_passes_the_guard():
 
 # -- the elimination kernel against span enumeration -----------------------
 
-KERNEL_ORDERS = [2, 3, 4, 5, 9]
+KERNEL_ORDERS = [2, 3, 4, 5, 7, 8, 9, 16, 25, 27]
+
+
+def test_row_kernel_matches_elementwise_arithmetic():
+    # every (a, b) pair of entries under every nonzero multiplier, on the
+    # prime, binary extension and odd-characteristic extension kernels
+    for q in KERNEL_ORDERS:
+        f = field_from_order(q)
+        v = [a for a in f.elements() for _ in f.elements()]
+        w = [b for _ in f.elements() for b in f.elements()]
+        for c in range(1, q):
+            assert f.sub_mul_row(v, c, w) == [f.sub(a, f.mul(c, b)) for a, b in zip(v, w)]
 
 
 def random_matrices(seed: int, per_field: int = 25):

@@ -50,6 +50,7 @@ from conftest import (
     reference_client_determines,
     reference_determines,
     reference_joint_counts,
+    reference_issues,
     reference_key_issues,
     reference_optimum,
 )
@@ -255,6 +256,15 @@ def test_key_derivation_matches_the_per_key_reference(case):
     if proto.kind == "secret-key":
         rank_issues = [s for s in issues if not s.startswith("transmission ")]
         assert rank_issues == reference_key_issues(proto, fam)
+
+
+@settings(deadline=None, max_examples=300)
+@given(linear_protocols())
+def test_algebraic_issues_match_the_raw_coordinate_references(case):
+    # the quotient by span(T) and the restricted ranks agree on every
+    # issue, of both kinds, in order
+    fam, proto = case
+    assert algebraic_issues(proto, fam) == reference_issues(proto, fam)
 
 
 @st.composite

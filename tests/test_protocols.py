@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import dataclasses
 import hashlib
 import random
 import time
@@ -41,7 +42,7 @@ from omnikey.errors import (
     SynthesisExhaustedError,
 )
 
-from conftest import random_family
+from conftest import random_family, reference_issues
 
 GF2 = make_field(2)
 
@@ -418,6 +419,94 @@ def test_algebraic_issues_reduce_each_client_once(monkeypatch):
         # two ranks for the leak check, then one elimination per client
         # however many keys it has to derive
         assert len(calls) == 2 + fam.n
+
+
+def test_client_eliminations_run_in_the_quotient(monkeypatch):
+    # each client's elimination has one row per coordinate it holds and
+    # one column per dimension of V / span(T), not one row per
+    # transmission and one column per coordinate it lacks
+    proto = split_gap_protocol(12)
+    fam = make_gap(12)
+    width = proto.m * proto.dim
+    free = width - len(fields_mod.rref(proto.field, proto.rows)[1])
+    shapes = []
+    real = fields_mod.rref
+
+    def recording(field, rows):
+        shapes.append((len(rows), len(rows[0]) if rows else None))
+        return real(field, rows)
+
+    monkeypatch.setattr(fields_mod, "rref", recording)
+    monkeypatch.setattr(protocols_mod, "rref", recording)
+    assert algebraic_issues(proto, fam) == []
+    per_client = shapes[-fam.n :]
+    assert len(shapes) == 2 + fam.n
+    for j, (nrows, ncols) in enumerate(per_client, start=1):
+        held = len(protocols_mod._client_cols(fam, j, proto.dim))
+        assert nrows <= held
+        assert ncols == free
+
+
+def mutants(proto, rng, count):
+    """Seeded mutants: one coefficient of a transmission or key row bumped
+    by one or zeroed, one transmission (or one of several keys) dropped,
+    or one transmission repeated."""
+    dim = proto.dim
+    ntrans = len(proto.senders)
+    for _ in range(count):
+        rows = [list(r) for r in proto.rows]
+        keys = [list(r) for r in proto.key_rows]
+        senders = list(proto.senders)
+        op = rng.choice(("bump", "zero", "drop", "repeat"))
+        if op in ("bump", "zero"):
+            row = rng.choice(rows + keys)
+            c = rng.randrange(len(row))
+            row[c] = proto.field.add(row[c], 1) if op == "bump" else 0
+        elif op == "drop" and len(keys) > 1 and rng.random() < 0.3:
+            del keys[rng.randrange(len(keys))]
+        elif ntrans:
+            t = rng.randrange(ntrans)
+            group = rows[t * dim : (t + 1) * dim]
+            if op == "drop":
+                del rows[t * dim : (t + 1) * dim]
+                del senders[t]
+            else:
+                rows.extend(list(r) for r in group)
+                senders.append(senders[t])
+        yield dataclasses.replace(
+            proto,
+            senders=tuple(senders),
+            rows=tuple(tuple(r) for r in rows),
+            key_rows=tuple(tuple(r) for r in keys),
+        )
+
+
+def test_algebraic_issues_match_the_references_on_mutants():
+    rng = random.Random(19)
+    cases = [(split_gap_protocol(m), make_gap(m)) for m in range(4, 13, 2)]
+    families = [make_pin(n) for n in range(3, 7)] + [make_cyclic15()]
+    for q in (2, 3, 4, 5, 7, 8, 9, 16):
+        for fam in families:
+            tau = max_keys(fam)
+            for synth in (
+                lambda: synth_omniscience(fam, seed=q, field=q),
+                lambda: synth_sk(fam, min(tau, 2), seed=q, field=q),
+            ):
+                try:
+                    cases.append((synth(), fam))
+                except SynthesisExhaustedError:
+                    pass
+    assert len(cases) > 60
+    failing = 0
+    for proto, fam in cases:
+        assert algebraic_issues(proto, fam) == []
+        for mutant in mutants(proto, rng, 10):
+            issues = algebraic_issues(mutant, fam)
+            assert issues == reference_issues(mutant, fam)
+            failing += bool(issues)
+    # about four in ten mutants break the protocol somewhere, so the
+    # references are compared on failing checks as well as passing ones
+    assert len(cases) * 3 < failing < len(cases) * 10
 
 
 def test_algebraic_issues_shape_mismatch():
