@@ -18,16 +18,16 @@ unexplained: one `rref` decodes every message or derives every key.
 Their algebraic checks reduce the transmissions once and work in the
 quotient by their span (see `protocols`).
 
-Every row operation of `rref` and `residual` is one call of the field's
-row kernel, `Field.sub_mul_row(v, f, w)`, the row v - f*w, chosen once
-when the field is built: one comprehension reduced mod p for a prime
-field, XOR with a log/antilog product for GF(2^k), and the element-wise
-`sub` and `mul` for the other prime powers.
+Every row elimination of `rref` and `residual` is one call of the row
+kernel `Field.sub_mul_row(v, f, w)`, the row v - f*w: one comprehension
+reduced mod p for a prime field, the element-wise `sub` and `mul` for a
+prime power.  `rref` scales a pivot row element-wise, and only when its
+lead is not already 1.
 """
 
 from __future__ import annotations
 
-from functools import lru_cache, partial
+from functools import lru_cache
 from typing import Sequence
 
 from .errors import InputFormatError, SizeGuardError
@@ -157,30 +157,8 @@ def _canonical_modulus(p: int, k: int) -> tuple[int, ...]:
     raise AssertionError("no irreducible polynomial found")  # pragma: no cover
 
 
-def _prime_sub_mul_row(p: int, v: Sequence[int], f: int, w: Sequence[int]) -> list[int]:
-    return [(a - f * b) % p for a, b in zip(v, w)]
-
-
-def _binary_sub_mul_row(
-    exp: list[int], log: list[int], v: Sequence[int], f: int, w: Sequence[int]
-) -> list[int]:
-    # characteristic 2: subtraction is XOR, and f*b = exp[log f + log b]
-    lf, order = log[f], len(exp)
-    return [a ^ exp[(lf + log[b]) % order] if b else a for a, b in zip(v, w)]
-
-
-def _generic_sub_mul_row(
-    field: "Field", v: Sequence[int], f: int, w: Sequence[int]
-) -> list[int]:
-    sub, mul = field.sub, field.mul
-    return [sub(a, mul(f, b)) for a, b in zip(v, w)]
-
-
 class Field:
-    """Arithmetic over GF(p^k) on integer element codes.
-
-    `sub_mul_row(v, f, w)` is the row v - f*w of two equal-length rows
-    and a nonzero scalar f, computed by the kernel chosen for this field."""
+    """Arithmetic over GF(p^k) on integer element codes."""
 
     def __init__(self, p: int, k: int, modulus: Sequence[int] | None = None):
         if k < 1:
@@ -206,13 +184,6 @@ class Field:
         self.modulus = modulus
         if k > 1:
             self._build_tables()
-        # partials of module-level functions, so a field still pickles
-        if k == 1:
-            self.sub_mul_row = partial(_prime_sub_mul_row, p)
-        elif p == 2:
-            self.sub_mul_row = partial(_binary_sub_mul_row, self._exp, self._log)
-        else:
-            self.sub_mul_row = partial(_generic_sub_mul_row, self)
 
     # -- construction internals ------------------------------------------
 
@@ -302,6 +273,14 @@ class Field:
         if a == 0:
             return 0 if e else 1
         return self._exp[(self._log[a] * e) % (self.q - 1)]
+
+    def sub_mul_row(self, v: Sequence[int], f: int, w: Sequence[int]) -> list[int]:
+        """The row v - f*w of two equal-length rows and a scalar f."""
+        if self.k == 1:
+            p = self.p
+            return [(a - f * b) % p for a, b in zip(v, w)]
+        sub, mul = self.sub, self.mul
+        return [sub(a, mul(f, b)) for a, b in zip(v, w)]
 
     def elements(self) -> range:
         return range(self.q)

@@ -284,16 +284,13 @@ def spanning_tree_ok(n: int, tree_edges) -> bool:
 
 def brute_span(field, rows, ncols: int) -> set:
     """Every vector in the row span, grown one row at a time by adding
-    each field multiple of the row to everything reached so far.  Sums
-    are read from the field's addition table, built once per call."""
-    add = [[field.add(a, b) for b in field.elements()] for a in field.elements()]
+    each field multiple of the row to everything reached so far."""
     span = {(0,) * ncols}
     for row in rows:
-        multiples = {tuple(field.mul(a, v) for v in row) for a in field.elements()}
         span = {
-            tuple(add[s][t] for s, t in zip(vec, multiple))
+            tuple(field.add(s, field.mul(a, v)) for s, v in zip(vec, row))
             for vec in span
-            for multiple in multiples
+            for a in field.elements()
         }
     return span
 

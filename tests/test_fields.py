@@ -258,12 +258,12 @@ def test_order_at_the_cap_passes_the_guard():
 
 # -- the elimination kernel against span enumeration -----------------------
 
-KERNEL_ORDERS = [2, 3, 4, 5, 7, 8, 9, 16, 25, 27]
+KERNEL_ORDERS = [2, 3, 4, 5, 7, 8, 9, 16]
 
 
 def test_row_kernel_matches_elementwise_arithmetic():
-    # every (a, b) pair of entries under every nonzero multiplier, on the
-    # prime, binary extension and odd-characteristic extension kernels
+    # every (a, b) pair of entries under every nonzero multiplier, on
+    # prime fields and on prime powers of characteristic 2 and 3
     for q in KERNEL_ORDERS:
         f = field_from_order(q)
         v = [a for a in f.elements() for _ in f.elements()]
