@@ -66,14 +66,20 @@ from .protocols import (
     synth_omniscience,
     synth_sk,
 )
-from .oracle import (
-    JointHistogram,
-    VerifyReport,
-    mutual_information_exact,
-    verify_exhaustive,
-)
 
 __version__ = "0.1.0"
+
+# The exhaustive oracle loads numpy, so its names are imported on first use
+# (PEP 562) and `import omnikey` stays numpy-free.
+_ORACLE_NAMES = ("JointHistogram", "VerifyReport", "mutual_information_exact", "verify_exhaustive")
+
+
+def __getattr__(name: str):
+    if name in _ORACLE_NAMES:
+        from . import oracle
+
+        return getattr(oracle, name)
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
 
 __all__ = [
     "InfeasibleError",

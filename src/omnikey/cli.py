@@ -38,7 +38,6 @@ from .network import (
     to_hypergraph,
 )
 from .omniscience import OmniscienceResult, _first_tight_sets
-from .oracle import verify_exhaustive
 from .protocols import (
     protocol_from_json,
     protocol_to_json,
@@ -210,6 +209,9 @@ def cmd_protocol(args) -> int:
 def cmd_verify(args) -> int:
     proto = protocol_from_json(_read_text(args.protocol))
     fam = _load_family(args)
+    # the oracle loads numpy: imported once both inputs have parsed
+    from .oracle import verify_exhaustive
+
     started = time.perf_counter()
     report = verify_exhaustive(proto, fam)
     seconds = time.perf_counter() - started

@@ -17,6 +17,8 @@ from typing import Iterable, Sequence
 
 from .errors import InputFormatError, SizeGuardError
 
+_ONE = ord("1")
+
 __all__ = [
     "MessageFamily",
     "Hypergraph",
@@ -78,19 +80,23 @@ class MessageFamily:
             raise InputFormatError(
                 f"{m} messages need a holder each, but the holdings name only {entries}"
             )
+        # each holding is marked in an ASCII bit string, message i at index
+        # m - i, read once by int(..., 2): linear in the entries and m, where
+        # OR-ing into a growing int copies it once per entry
         masks = []
         for j, hold in enumerate(holdings, start=1):
-            mask = 0
+            bits = bytearray(b"0") * m
             for msg in hold:
-                if not isinstance(msg, int) or isinstance(msg, bool):
+                # a plain int skips both isinstance calls
+                if type(msg) is not int and (not isinstance(msg, int) or isinstance(msg, bool)):
                     raise InputFormatError(f"client {j}: message index {msg!r} is not an integer")
                 if not 1 <= msg <= m:
                     raise InputFormatError(f"client {j}: message {msg} out of range 1..{m}")
-                bit = 1 << (msg - 1)
-                if mask & bit:
+                i = m - msg
+                if bits[i] == _ONE:
                     raise InputFormatError(f"client {j}: duplicate message {msg}")
-                mask |= bit
-            masks.append(mask)
+                bits[i] = _ONE
+            masks.append(int(bits, 2))
         return cls(n, m, tuple(masks))
 
     @property

@@ -51,13 +51,14 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from functools import cached_property
-from typing import Iterable, Sequence
+from typing import TYPE_CHECKING, Iterable, Sequence
 from weakref import WeakKeyDictionary
-
-import numpy as np
 
 from .errors import InputFormatError, SizeGuardError
 from .network import MessageFamily
+
+if TYPE_CHECKING:
+    import numpy as np
 
 __all__ = [
     "OmniscienceResult",
@@ -123,13 +124,18 @@ class _Tables:
     """Right-hand sides of every subset constraint, shared by all solves on
     a family: `rhs[s]` counts the messages that no client outside subset
     s holds.  They are counted from a union table, `unions[w, s]` being
-    word w of the union over the clients in s, which is then dropped."""
+    word w of the union over the clients in s, which is then dropped.
+
+    numpy is imported by these methods, not by the module, so the
+    decisions and every refusal run without loading it."""
 
     def __init__(self, fam: MessageFamily):
         if fam.n > SUBSET_GUARD_N:
             raise SizeGuardError(
                 f"subset separation supports at most {SUBSET_GUARD_N} clients, got {fam.n}"
             )
+        import numpy as np
+
         self.n = fam.n
         self.m = fam.m
         self.full_vars = (1 << fam.n) - 1
@@ -147,6 +153,8 @@ class _Tables:
         """Allocation sum (int32) over every client subset.  Entries are
         clipped at m + 1: a subset holding such a member already exceeds
         every right-hand side, so no tight or violated status changes."""
+        import numpy as np
+
         cap = self.m + 1
         asum = np.zeros(self.full_vars + 1, dtype=np.int32)
         for j, aj in enumerate(alloc):
@@ -156,6 +164,8 @@ class _Tables:
 
     def most_violated(self, alloc: Sequence[int]) -> tuple[int, int] | None:
         """(subset_mask, need) with the largest shortfall, or None if feasible."""
+        import numpy as np
+
         diff = self._subset_sums(alloc)
         np.subtract(self.rhs, diff, out=diff)
         diff[0] = -1
@@ -166,6 +176,8 @@ class _Tables:
         return idx, int(self.rhs[idx])
 
     def tight_masks(self, alloc: Sequence[int]) -> list[int]:
+        import numpy as np
+
         eq = np.nonzero(self._subset_sums(alloc) == self.rhs)[0]
         return [int(s) for s in eq if 0 < s < self.full_vars]
 

@@ -442,6 +442,26 @@ def reference_issues(protocol, fam) -> list[str]:
     return issues + reference_key_issues(protocol, fam)
 
 
+def reference_masks(m: int, holdings) -> tuple[int, ...]:
+    """Holding masks built one bit at a time, each entry checked in order:
+    integer, then in range 1..m, then not repeated.  Raises the same
+    InputFormatError as `MessageFamily.from_holdings` on the first bad entry."""
+    masks = []
+    for j, hold in enumerate(holdings, start=1):
+        mask = 0
+        for msg in hold:
+            if not isinstance(msg, int) or isinstance(msg, bool):
+                raise InputFormatError(f"client {j}: message index {msg!r} is not an integer")
+            if not 1 <= msg <= m:
+                raise InputFormatError(f"client {j}: message {msg} out of range 1..{m}")
+            bit = 1 << (msg - 1)
+            if mask & bit:
+                raise InputFormatError(f"client {j}: duplicate message {msg}")
+            mask |= bit
+        masks.append(mask)
+    return tuple(masks)
+
+
 def random_family(rng: random.Random, n: int, m: int) -> MessageFamily:
     """Random holdings where every message has at least one holder."""
     while True:

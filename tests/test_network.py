@@ -20,7 +20,7 @@ from omnikey import (
 from omnikey.errors import InputFormatError, SizeGuardError
 from omnikey.network import GAP_GUARD_M, PIN_GUARD_N
 
-from conftest import random_family
+from conftest import random_family, reference_masks
 
 
 def test_from_holdings_round_trip():
@@ -52,6 +52,78 @@ def test_rejects_bad_holdings():
         MessageFamily.from_holdings(2, 2, [[1], [True]])
     with pytest.raises(InputFormatError):
         MessageFamily.from_holdings(2, 2, [[1]])
+
+
+def _random_holdings(rng: random.Random, n: int, m: int) -> list[list[int]]:
+    """Shuffled holdings in which every message 1..m has a holder."""
+    holdings = [rng.sample(range(1, m + 1), rng.randint(0, m)) for _ in range(n)]
+    for msg in range(1, m + 1):
+        if not any(msg in hold for hold in holdings):
+            holdings[rng.randrange(n)].append(msg)
+    return holdings
+
+
+def _reference_error(m: int, holdings) -> str:
+    with pytest.raises(InputFormatError) as exc:
+        reference_masks(m, holdings)
+    return str(exc.value)
+
+
+def test_holding_masks_match_the_bit_at_a_time_reference():
+    rng = random.Random(400)
+    for m in [1, 2, 7, 8, 9, 63, 64, 65, 127, 128, 129, 255, 256, 257, 399, 400]:
+        n = rng.randint(1, 6)
+        holdings = _random_holdings(rng, n, m)
+        assert MessageFamily.from_holdings(n, m, holdings).masks == reference_masks(m, holdings)
+
+
+def test_holding_errors_match_the_reference_entry_by_entry():
+    # one bad entry spliced into valid holdings, then a second after it:
+    # the same message names the first bad entry in per-entry order
+    bad_entries = ["3", 2.0, None, True, False, [1], 0, -1, "m + 1", "repeat"]
+    rng = random.Random(401)
+    for trial in range(200):
+        m = rng.choice([1, 5, 8, 64, 65, 400])
+        n = rng.randint(1, 4)
+        holdings = _random_holdings(rng, n, m)
+        for _ in range(rng.randint(1, 2)):
+            j = rng.randrange(n)
+            bad = rng.choice(bad_entries)
+            if bad == "m + 1":
+                bad = m + 1
+            elif bad == "repeat":
+                if not holdings[j]:
+                    continue
+                bad = rng.choice(holdings[j])
+            holdings[j].insert(rng.randint(0, len(holdings[j])), bad)
+        try:
+            expected = reference_masks(m, holdings)
+        except InputFormatError as exc:
+            with pytest.raises(InputFormatError) as got:
+                MessageFamily.from_holdings(n, m, holdings)
+            assert str(got.value) == str(exc), (trial, holdings)
+        else:
+            assert MessageFamily.from_holdings(n, m, holdings).masks == expected
+
+
+def test_each_holding_error_is_named_as_the_reference_names_it():
+    cases = [
+        [[1, "2"], [2]],  # not an integer
+        [[1, 2.0], [2]],
+        [[1], [True]],  # a bool is not a message index
+        [[1], [0]],  # out of range, low and high
+        [[1], [3]],
+        [[1, 1], [2]],  # duplicate
+        [[1, 3, 1], [2]],  # out of range comes before the later duplicate
+        [[1, 1, 3], [2]],  # the duplicate comes first
+        [[1, 2], ["x", 5]],  # a later client is reached only after client 1
+    ]
+    for holdings in cases:
+        with pytest.raises(InputFormatError) as exc:
+            MessageFamily.from_holdings(2, 2, holdings)
+        assert str(exc.value) == _reference_error(2, holdings), holdings
+    assert _reference_error(2, [[1, 3, 1], [2]]) == "client 1: message 3 out of range 1..2"
+    assert _reference_error(2, [[1, 1, 3], [2]]) == "client 1: duplicate message 1"
 
 
 def test_rejects_unheld_message():
