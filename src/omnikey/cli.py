@@ -37,7 +37,7 @@ from .network import (
     parse_network,
     to_hypergraph,
 )
-from .omniscience import OmniscienceResult, _first_tight_sets
+from .omniscience import _first_tight_sets
 from .protocols import (
     protocol_from_json,
     protocol_to_json,
@@ -146,8 +146,7 @@ def cmd_analyze(args) -> int:
         "table": table,
     }
     if args.witness:
-        res = OmniscienceResult(report.min_broadcasts, report.allocation, fam)
-        data["tight_sets"] = [sorted(s) for s in _first_tight_sets(res, 10)]
+        data["tight_sets"] = [sorted(s) for s in _first_tight_sets(fam, report.allocation, 10)]
         data["connectivity"] = _witness_payload(fam)
     seconds = time.perf_counter() - started
     if args.json:

@@ -10,8 +10,7 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass, field
-from functools import reduce
-from itertools import combinations
+from itertools import accumulate, combinations
 from operator import or_
 from typing import Iterable, Sequence
 
@@ -110,11 +109,10 @@ class MessageFamily:
     @property
     def others(self) -> tuple[int, ...]:
         """Per client j, the union of every other client's holdings (0 when
-        n = 1)."""
-        masks = self.masks
-        return tuple(
-            reduce(or_, masks[:j] + masks[j + 1 :], 0) for j in range(self.n)
-        )
+        n = 1), from prefix and suffix unions."""
+        before = accumulate(self.masks[:-1], or_, initial=0)
+        after = list(accumulate(reversed(self.masks[1:]), or_, initial=0))
+        return tuple(b | a for b, a in zip(before, reversed(after)))
 
     def holding_size(self, client: int) -> int:
         return self.masks[client - 1].bit_count()
@@ -167,8 +165,15 @@ class Hypergraph:
     labels: tuple[int, ...] = field(default=())
 
     def __post_init__(self) -> None:
+        if self.n < 1:
+            raise InputFormatError("need at least one client")
+        full = (1 << self.n) - 1
+        if not all(1 <= mask <= full for mask in self.edge_masks):
+            raise InputFormatError(f"edge masks must lie in 1..{full}")
         if not self.labels:
             object.__setattr__(self, "labels", tuple(range(1, len(self.edge_masks) + 1)))
+        if len(self.labels) != len(self.edge_masks):
+            raise InputFormatError("label count does not match edge count")
 
     @property
     def m(self) -> int:

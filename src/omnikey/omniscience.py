@@ -12,7 +12,8 @@ algorithms for the data exchange problem", IEEE T-IT 2016; the budget
 threshold is Courtade-Wesel, IEEE T-IT 2014).  It builds no subset
 table, so it has no client-count guard.  `broadcasts_at_most`, and
 through it the secrecy layer's feasibility checks, support walk and
-criticality checks, all decide this way.
+criticality checks, all decide this way, and so does `allocation_feasible`,
+at the allocation's own total.
 
 The optimum total takes the same pass: `_min_total` binary-searches the
 smallest budget in 0..m that it accepts.  Its lexicographically
@@ -31,15 +32,15 @@ until the benchmark's peak-memory reading stops growing with the batch
 count.
 
 Separation reads the right-hand sides of every subset constraint, built
-once per family (n <= 24) from a union table.  The table is one numpy
-array of shape (ceil(m/64), 2^n): row w holds, for every client subset,
-word w (messages 64w to 64w+63) of the union of its members' holdings,
-so every family size runs the same array code.  It is dropped once the
+per call (n <= 24) from a union table.  The table is one numpy array of
+shape (ceil(m/64), 2^n): row w holds, for every client subset, word w
+(messages 64w to 64w+63) of the union of its members' holdings, so
+every family size runs the same array code.  It is dropped once the
 right-hand sides, an int32 array, are counted.  Allocation sums are
 int32 too, with entries clipped at m + 1, which keeps the sums exact
-and inside int32.  Only this module reads the right-hand sides, and
-only for the optimum's allocation and its certificates; the other
-layers call `_min_total`, `broadcasts_at_most` or `_decision_keep`.
+and inside int32.  Only the certificates read the right-hand sides: the
+optimum's allocation, `separate` and the tight sets; the other layers
+call `_min_total`, `broadcasts_at_most` or `_decision_keep`.
 
 `separate` reports the most violated subset, smallest client bitmask
 first.  The tight subsets that certify an optimum are derived from the
@@ -51,8 +52,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from functools import cached_property
+from operator import index
 from typing import TYPE_CHECKING, Iterable, Sequence
-from weakref import WeakKeyDictionary
 
 from .errors import InputFormatError, SizeGuardError
 from .network import MessageFamily
@@ -88,13 +89,13 @@ class OmniscienceResult:
 
     @cached_property
     def tight_sets(self) -> tuple[frozenset[int], ...]:
-        return _first_tight_sets(self, None)
+        return _first_tight_sets(self.family, self.allocation, None)
 
 
-def _first_tight_sets(res: OmniscienceResult, count: int | None):
-    """`res.tight_sets[:count]`, decoding only the masks it returns."""
-    tables = _family_tables(res.family)
-    tight = tables.tight_masks(res.allocation)
+def _first_tight_sets(fam: MessageFamily, allocation: Sequence[int], count: int | None):
+    """The first `count` tight sets (all for None), decoding only those."""
+    tables = _Tables(fam)
+    tight = tables.tight_masks(allocation)
     return tuple(
         frozenset(j + 1 for j in range(tables.n) if (mask >> j) & 1)
         for mask in tight[:count]
@@ -116,15 +117,16 @@ def demand(fam: MessageFamily, subset: Iterable[int]) -> int:
 
 
 # ---------------------------------------------------------------------------
-# per-family tables
+# subset tables
 # ---------------------------------------------------------------------------
 
 
 class _Tables:
-    """Right-hand sides of every subset constraint, shared by all solves on
-    a family: `rhs[s]` counts the messages that no client outside subset
-    s holds.  They are counted from a union table, `unions[w, s]` being
-    word w of the union over the clients in s, which is then dropped.
+    """Right-hand sides of every subset constraint of a family, built
+    where a certificate reads them: `rhs[s]` counts the messages that no
+    client outside subset s holds.  They are counted from a union table,
+    `unions[w, s]` being word w of the union over the clients in s, which
+    is then dropped.
 
     numpy is imported by these methods, not by the module, so the
     decisions and every refusal run without loading it."""
@@ -180,17 +182,6 @@ class _Tables:
 
         eq = np.nonzero(self._subset_sums(alloc) == self.rhs)[0]
         return [int(s) for s in eq if 0 < s < self.full_vars]
-
-
-_table_cache: "WeakKeyDictionary[MessageFamily, _Tables]" = WeakKeyDictionary()
-
-
-def _family_tables(fam: MessageFamily) -> _Tables:
-    tables = _table_cache.get(fam)
-    if tables is None:
-        tables = _Tables(fam)
-        _table_cache[fam] = tables
-    return tables
 
 
 # ---------------------------------------------------------------------------
@@ -266,9 +257,9 @@ def _seed_constraints(fam: MessageFamily) -> dict[int, int]:
     each client's holdings and the union of everyone else's."""
     full = (1 << fam.n) - 1
     seeds: dict[int, int] = {}
-    for j in range(fam.n):
+    for j, others in enumerate(fam.others):
         single = 1 << j
-        for mask, outside in ((single, fam.others[j]), (full ^ single, fam.masks[j])):
+        for mask, outside in ((single, others), (full ^ single, fam.masks[j])):
             if mask not in seeds:
                 nd = fam.m - outside.bit_count()
                 if nd > 0:
@@ -286,7 +277,7 @@ def _solve(fam: MessageFamily) -> tuple[int, list[int]]:
     n = fam.n
     if n == 1:
         return 0, [0]
-    tables = _family_tables(fam)
+    tables = _Tables(fam)
     total = _min_total(fam)
     seeds = _seed_constraints(fam)
     masks = list(seeds)
@@ -464,17 +455,27 @@ def broadcasts_at_most(fam: MessageFamily, budget: int) -> bool:
     return _decision_keep(fam, (1 << fam.m) - 1, budget)
 
 
+def _checked_allocation(fam: MessageFamily, allocation: Sequence[int]) -> list[int]:
+    """The allocation as Python ints: one nonnegative integer per client."""
+    if len(allocation) != fam.n:
+        raise InputFormatError("allocation length must equal the client count")
+    try:
+        out = [index(a) for a in allocation if not isinstance(a, bool)]
+    except TypeError:
+        out = []
+    if len(out) != fam.n:
+        raise InputFormatError("allocation entries must be integers")
+    if any(a < 0 for a in out):
+        raise InputFormatError("allocation entries must be nonnegative")
+    return out
+
+
 def separate(fam: MessageFamily, allocation: Sequence[int]) -> frozenset[int] | None:
     """Most violated client subset for an allocation, or None if feasible.
 
     Ties go to the subset with the smallest client bitmask."""
-    if len(allocation) != fam.n:
-        raise InputFormatError("allocation length must equal the client count")
-    if any(a < 0 for a in allocation):
-        raise InputFormatError("allocation entries must be nonnegative")
-    if fam.n == 1:
-        return None
-    viol = _family_tables(fam).most_violated(allocation)
+    a = _checked_allocation(fam, allocation)
+    viol = _Tables(fam).most_violated(a)
     if viol is None:
         return None
     mask, _ = viol
@@ -482,5 +483,18 @@ def separate(fam: MessageFamily, allocation: Sequence[int]) -> frozenset[int] | 
 
 
 def allocation_feasible(fam: MessageFamily, allocation: Sequence[int]) -> bool:
-    """True iff the allocation satisfies every subset constraint."""
-    return separate(fam, allocation) is None
+    """True iff the allocation satisfies every subset constraint: with
+    B = a(V), a(C) <= |X_C| + B - m for every complement C of a nonempty
+    proper set.  That is the pass of `_decision_keep` at budget B with a in
+    place of x, so no subset table is built."""
+    a = _checked_allocation(fam, allocation)
+    masks = fam.masks
+    full = (1 << fam.m) - 1
+    base = sum(a) - fam.m
+    for i, mask in enumerate(masks):
+        cap = mask.bit_count() + base
+        if i:
+            cap -= _excess(masks[:i], a[:i], full & ~mask)
+        if a[i] > cap:
+            return False
+    return True

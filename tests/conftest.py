@@ -10,15 +10,32 @@ from __future__ import annotations
 
 import itertools
 import random
+import weakref
 from fractions import Fraction
 from math import inf
 
 import numpy as np
+import pytest
 
 from omnikey import MessageFamily, omniscience, oracle, to_hypergraph
 from omnikey.errors import InputFormatError
 from omnikey.fields import _width, rank, rref
 from omnikey.protocols import _missing_cols
+
+
+@pytest.fixture
+def table_builds(monkeypatch):
+    """Weak references to every subset table the test asks
+    `omniscience._Tables` to build, one per construction attempt."""
+    built = []
+
+    class Counted(omniscience._Tables):
+        def __init__(self, fam):
+            built.append(weakref.ref(self))
+            super().__init__(fam)
+
+    monkeypatch.setattr(omniscience, "_Tables", Counted)
+    return built
 
 
 def union_size(fam: MessageFamily, clients) -> int:
@@ -100,7 +117,7 @@ def reference_optimum(fam: MessageFamily):
     n = fam.n
     if n == 1:
         return 0, (0,)
-    tables = omniscience._family_tables(fam)
+    tables = omniscience._Tables(fam)
     seeds = omniscience._seed_constraints(fam)
     masks = list(seeds)
     needs = [seeds[mk] for mk in masks]

@@ -56,6 +56,21 @@ def test_multigraph_validation():
         InducedMultigraph(2, ((1, 2),), (7, 8))
 
 
+@pytest.mark.parametrize(
+    "args",
+    [(0, ()), (2, (0,)), (3, (8, 3)), (2, (-1,)), (2, (1, 2), (7,))],
+    ids=["no clients", "empty edge", "edge past n", "negative edge", "labels short"],
+)
+def test_hypergraph_validation(args):
+    with pytest.raises(InputFormatError):
+        Hypergraph(*args)
+
+
+def test_hypergraph_labels_default_to_edge_positions():
+    assert Hypergraph(3, (0b101, 0b011)).labels == (1, 2)
+    assert Hypergraph(3, (0b101, 0b011), (4, 9)).labels == (4, 9)
+
+
 def test_induce_by_order_chains_hyperedges():
     hg = Hypergraph(4, (0b1011, 0b0110), (5, 9))
     graph = induce_by_order(hg, [1, 2, 3, 4])

@@ -3,7 +3,9 @@ from __future__ import annotations
 import json
 import random
 import time
+from functools import reduce
 from itertools import combinations
+from operator import or_
 
 import pytest
 
@@ -229,6 +231,18 @@ def test_hypergraph_is_exact_dual():
                 holds = (fam.masks[j - 1] >> pos) & 1
                 assert (j in members) == bool(holds)
             assert hg.edge_size(pos) == len(members)
+
+
+def test_others_matches_the_union_of_the_rest():
+    rng = random.Random(31)
+    families = [random_family(rng, rng.randint(1, 12), rng.randint(1, 70)) for _ in range(60)]
+    families += [MessageFamily.from_holdings(1, 2, [[1, 2]]), make_gap(8), make_pin(9)]
+    assert any(fam.n == 1 for fam in families)
+    for fam in families:
+        want = tuple(
+            reduce(or_, fam.masks[:j] + fam.masks[j + 1 :], 0) for j in range(fam.n)
+        )
+        assert fam.others == want
 
 
 def test_pin_family_shape():

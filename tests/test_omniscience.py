@@ -4,6 +4,7 @@ import gc
 import hashlib
 import random
 
+import numpy as np
 import pytest
 
 from omnikey import (
@@ -129,6 +130,51 @@ def test_allocation_feasible_matches_brute():
         fam = random_family(rng, rng.randint(2, 5), rng.randint(1, 5))
         alloc = [rng.randint(0, 2) for _ in range(fam.n)]
         assert allocation_feasible(fam, alloc) == brute_feasible(fam, alloc)
+
+
+def test_allocation_feasible_matches_brute_on_9000_allocations(table_builds):
+    # the decision pass at the allocation's own total: no subset table
+    rng = random.Random(2021)
+    answers = set()
+    for _ in range(1500):
+        fam = random_family(rng, rng.randint(1, 7), rng.randint(1, 9))
+        for _ in range(6):
+            alloc = [rng.randint(0, 3) for _ in range(fam.n)]
+            got = allocation_feasible(fam, alloc)
+            assert got == brute_feasible(fam, alloc), (fam.masks, alloc)
+            answers.add(got)
+    assert answers == {True, False}
+    assert not table_builds
+
+
+def test_allocation_feasible_past_the_subset_tables(table_builds):
+    # gap:24 has 277 clients and pin:30 has 30, past the tables' 24.
+    # Client 1 of gap:24 holds everything and each pair client must hear
+    # the other 22 messages.  A pin:30 client holds 29 of the 435, so the
+    # other 29 clients must send 406: 14 each do, 13 each do not.
+    gap = make_gap(24)
+    rest = [0] * (gap.n - 1)
+    assert allocation_feasible(gap, [22] + rest)
+    assert not allocation_feasible(gap, [21] + rest)
+    pin = make_pin(30)
+    assert allocation_feasible(pin, [14] * 30)
+    assert not allocation_feasible(pin, [13] * 30)
+    assert not table_builds
+
+
+@pytest.mark.parametrize("entry", [1.5, "1", True], ids=["float", "str", "bool"])
+@pytest.mark.parametrize("check", [separate, allocation_feasible])
+def test_allocation_entries_must_be_integers(check, entry):
+    with pytest.raises(InputFormatError, match="must be integers"):
+        check(make_pin(4), [entry, 1, 1, 1])
+
+
+def test_numpy_integer_allocations_are_accepted():
+    fam = make_pin(4)
+    for alloc in ([np.int64(1), 1, 1, 1], list(np.array([1, 1, 1, 0], dtype=np.uint8))):
+        want = brute_feasible(fam, [int(a) for a in alloc])
+        assert allocation_feasible(fam, alloc) == want
+        assert (separate(fam, alloc) is None) == want
 
 
 def test_separate_returns_a_real_violation():

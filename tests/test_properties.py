@@ -20,6 +20,7 @@ from omnikey import (
     LinearProtocol,
     MessageFamily,
     algebraic_issues,
+    allocation_feasible,
     broadcasts_at_most,
     demand,
     field_from_order,
@@ -38,11 +39,12 @@ from omnikey import (
 )
 from omnikey.errors import InfeasibleError, SynthesisExhaustedError
 from omnikey.fields import rank
-from omnikey.omniscience import _decision_keep, _family_tables, _min_total
+from omnikey.omniscience import _decision_keep, _min_total, _Tables
 from omnikey.oracle import _determines
 from omnikey.protocols import _client_cols
 
 from conftest import (
+    brute_feasible,
     brute_rate,
     brute_restrict_total,
     brute_sk_cost,
@@ -74,6 +76,14 @@ def families(draw, max_n: int = 7, max_m: int = 6) -> MessageFamily:
 def test_tight_sets_match_brute_force(fam):
     res = min_broadcasts(fam)
     assert res.tight_sets == brute_tight_sets(fam, res.allocation)
+
+
+@settings(deadline=None, max_examples=300)
+@given(families(max_n=7, max_m=9), st.data())
+def test_allocation_feasible_matches_brute_force(fam, data):
+    # the decision pass at the allocation's own total against every cut
+    alloc = data.draw(st.lists(st.integers(0, 3), min_size=fam.n, max_size=fam.n))
+    assert allocation_feasible(fam, alloc) == brute_feasible(fam, alloc)
 
 
 @settings(deadline=None, max_examples=200)
@@ -155,7 +165,7 @@ def test_optimum_total_matches_the_escalating_search(fam):
 @given(families(max_n=6, max_m=140))
 def test_subset_rhs_matches_restricted_demand(fam):
     # up to 140 messages: one to three words of the union table
-    rhs = _family_tables(fam).rhs
+    rhs = _Tables(fam).rhs
     for s in range(1, (1 << fam.n) - 1):
         assert rhs[s] == demand(fam, [j + 1 for j in range(fam.n) if s >> j & 1])
 

@@ -202,26 +202,25 @@ def test_support_walk_matches_combination_loop(decision_calls):
             assert decision_calls[0] == want_calls
 
 
-def test_support_search_leaves_no_reference_cycle():
-    # a cycle through the family would keep its union table alive until
-    # the cyclic collector runs
-    cached = len(omniscience._table_cache)
+def test_support_search_leaves_no_reference_cycle(table_builds):
+    # a cycle through the family would keep it and its union tables alive
+    # until the cyclic collector runs
     gc.disable()
     try:
         fam = make_cyclic15()
         build_report(fam)
         min_key_support(fam, 1)
         fam_ref = weakref.ref(fam)
-        tables_ref = weakref.ref(omniscience._table_cache[fam])
         del fam
         assert fam_ref() is None
-        assert tables_ref() is None
-        assert len(omniscience._table_cache) == cached
+        # the optimum's allocation needs one table, freed when it returns
+        assert len(table_builds) == 1
+        assert table_builds[0]() is None
     finally:
         gc.enable()
 
 
-def test_set_cover_builds_no_subset_table(monkeypatch):
+def test_set_cover_builds_no_subset_table(monkeypatch, table_builds):
     # 20 elements give 21 clients: a union table would hold 2^21 subsets,
     # but the support walk only asks for decisions, which need none
     inst = random_cover(random.Random(21), 20, 30)
@@ -229,7 +228,7 @@ def test_set_cover_builds_no_subset_table(monkeypatch):
     monkeypatch.setattr(secrecy, "reduce_set_cover", lambda _: fam)
     cover = minimum_cover(inst)
     assert cover == brute_set_cover(inst.universe, inst.sets)
-    assert fam not in omniscience._table_cache
+    assert not table_builds
 
 
 def test_infeasible_tau_costs_infinity():
@@ -258,7 +257,7 @@ def test_is_critical():
         is_critical(gap, 0)
 
 
-def test_key_count_and_criticality_past_the_subset_tables():
+def test_key_count_and_criticality_past_the_subset_tables(table_builds):
     # gap:8 and gap:16 have 29 and 121 clients, past the subset tables' 24:
     # the optimum total is a search over decisions, which build no table,
     # while the optimum's allocation still needs one
@@ -267,9 +266,12 @@ def test_key_count_and_criticality_past_the_subset_tables():
         assert max_keys(fam) == 2
         assert is_critical(fam, 2)
         assert not is_critical(fam, 1)
-        assert fam not in omniscience._table_cache
+        assert not table_builds
         with pytest.raises(SizeGuardError):
             min_broadcasts(fam)
+        # the refused table is the only one asked for
+        assert len(table_builds) == 1
+        table_builds.clear()
 
 
 def test_every_minimum_support_is_critical():
