@@ -10,50 +10,25 @@ instance).  Exit codes: 0 success, 1 infeasible or verification failed,
 from __future__ import annotations
 
 import argparse
-import json
 import sys
 import time
-from pathlib import Path
 
-from .connectivity import (
-    PARTITION_GUARD_N,
-    extract_tree_packing,
-    induce_by_order,
-    partition_bound_holds,
-    tree_packing_number,
-)
+# Each subcommand imports the modules it runs, so a start loads (and, with
+# no bytecode cache, compiles) only those.
 from .errors import (
     InfeasibleError,
     InputFormatError,
     SizeGuardError,
     SynthesisExhaustedError,
 )
-from .network import (
-    MessageFamily,
-    make_cyclic15,
-    make_gap,
-    make_pin,
-    network_to_json,
-    parse_network,
-    to_hypergraph,
-)
-from .omniscience import _first_tight_sets
-from .protocols import (
-    protocol_from_json,
-    protocol_to_json,
-    split_gap_protocol,
-    synth_chain,
-    synth_omniscience,
-    synth_sk,
-)
-from .secrecy import build_report, minimum_cover, parse_set_cover, reduce_set_cover
 
 __all__ = ["main"]
 
 
 def _read_text(path: str) -> str:
     try:
-        return Path(path).read_text()
+        with open(path) as fh:
+            return fh.read()
     except OSError as exc:
         raise InputFormatError(f"cannot read {path}: {exc}") from exc
 
@@ -63,12 +38,15 @@ def _write_text(path: str | None, text: str) -> None:
         sys.stdout.write(text)
     else:
         try:
-            Path(path).write_text(text)
+            with open(path, "w") as fh:
+                fh.write(text)
         except OSError as exc:
             raise InputFormatError(f"cannot write {path}: {exc}") from exc
 
 
 def _preset(name: str) -> MessageFamily:
+    from .network import make_cyclic15, make_gap, make_pin
+
     if name in ("cyclic15", "table1"):
         return make_cyclic15()
     if name.startswith("pin:"):
@@ -88,6 +66,8 @@ def _int_arg(text: str, what: str) -> int:
 
 
 def _load_family(args) -> MessageFamily:
+    from .network import make_gap, parse_network
+
     if getattr(args, "gap", None) is not None:
         return make_gap(args.gap)
     if getattr(args, "input", None):
@@ -103,6 +83,15 @@ def _load_family(args) -> MessageFamily:
 
 
 def _witness_payload(fam: MessageFamily) -> dict:
+    from .connectivity import (
+        PARTITION_GUARD_N,
+        extract_tree_packing,
+        induce_by_order,
+        partition_bound_holds,
+        tree_packing_number,
+    )
+    from .network import to_hypergraph
+
     hg = to_hypergraph(fam)
     graph = induce_by_order(hg, list(range(1, fam.n + 1)))
     packing = tree_packing_number(graph)
@@ -125,6 +114,11 @@ def _witness_payload(fam: MessageFamily) -> dict:
 
 
 def cmd_analyze(args) -> int:
+    import json
+
+    from .omniscience import _first_tight_sets
+    from .secrecy import build_report
+
     fam = _load_family(args)
     started = time.perf_counter()
     if args.tau is not None and args.all_tau:
@@ -183,6 +177,14 @@ def cmd_analyze(args) -> int:
 
 
 def cmd_protocol(args) -> int:
+    from .protocols import (
+        protocol_to_json,
+        split_gap_protocol,
+        synth_chain,
+        synth_omniscience,
+        synth_sk,
+    )
+
     started = time.perf_counter()
     kind = "chain" if args.chain else args.kind
     if args.gap is not None:
@@ -206,6 +208,10 @@ def cmd_protocol(args) -> int:
 
 
 def cmd_verify(args) -> int:
+    import json
+
+    from .protocols import protocol_from_json
+
     proto = protocol_from_json(_read_text(args.protocol))
     fam = _load_family(args)
     # the oracle loads numpy: imported once both inputs have parsed
@@ -246,12 +252,19 @@ def cmd_verify(args) -> int:
 
 
 def cmd_example(args) -> int:
+    from .network import network_to_json
+
     fam = _preset(args.preset)
     _write_text(args.output, network_to_json(fam))
     return 0
 
 
 def cmd_reduce(args) -> int:
+    import json
+
+    from .network import network_to_json
+    from .secrecy import minimum_cover, parse_set_cover, reduce_set_cover
+
     inst = parse_set_cover(_read_text(args.input))
     fam = reduce_set_cover(inst)
     if args.solve:

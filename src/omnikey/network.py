@@ -49,11 +49,16 @@ class MessageFamily:
             raise InputFormatError("holdings count does not match client count")
         if not self.labels:
             object.__setattr__(self, "labels", tuple(range(1, self.m + 1)))
+        elif len(set(self.labels)) != len(self.labels):
+            raise InputFormatError("duplicate message labels")
         if len(self.labels) != self.m:
             raise InputFormatError("label count does not match message count")
         full = (1 << self.m) - 1
         union = 0
         for mask in self.masks:
+            # a plain int skips both isinstance calls
+            if type(mask) is not int and (not isinstance(mask, int) or isinstance(mask, bool)):
+                raise InputFormatError(f"holding mask {mask!r} is not an integer")
             if mask < 0 or mask > full:
                 raise InputFormatError("holding mask out of range")
             union |= mask

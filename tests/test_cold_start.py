@@ -1,9 +1,12 @@
-"""numpy is loaded only where arrays are built.
+"""A start loads only what its command runs.
 
-The subset tables (`analyze`, `protocol` synthesis through the optimum)
-and the exhaustive oracle (`verify`) import numpy on first use.  Every
-other command, and every refusal, runs in a fresh interpreter without
-loading it; these tests start one per command and look at sys.modules.
+`import omnikey` loads no submodule and `import omnikey.cli` only the
+error types; each subcommand imports its own modules.  numpy is loaded
+only where arrays are built: the subset tables (`analyze`, `protocol`
+synthesis through the optimum) and the exhaustive oracle (`verify`)
+import it on first use.  Every other command, and every refusal, runs in
+a fresh interpreter without loading it; these tests start one per command
+and look at sys.modules.
 """
 
 from __future__ import annotations
@@ -17,6 +20,7 @@ from pathlib import Path
 import pytest
 
 import omnikey
+from omnikey import protocol_to_json, split_gap_protocol
 
 SRC = str(Path(omnikey.__file__).resolve().parents[1])
 
@@ -95,3 +99,53 @@ def test_oracle_names_resolve_through_the_package():
         assert namespace[name] is getattr(omnikey, name)
     with pytest.raises(AttributeError):
         omnikey.no_such_name
+
+
+def run_main(*argv) -> str:
+    return f"from omnikey.cli import main\nassert main({list(argv)!r}) == 0"
+
+
+CLI = {"cli", "errors"}
+SOLVE = CLI | {"network", "omniscience", "secrecy"}
+SYNTH = SOLVE | {"fields", "protocols"}
+
+
+@pytest.mark.parametrize(
+    "start, loaded",
+    [
+        ("import omnikey", set()),
+        ("import omnikey.cli", CLI),
+        (run_main("example", "--preset", "gap:4"), CLI | {"network"}),
+        (run_main("reduce", "--input", "cover.json", "--solve"), SOLVE),
+        (run_main("analyze", "--preset", "pin:4", "--tau", "1"), SOLVE),
+        (run_main("analyze", "--preset", "pin:4", "--witness"), SOLVE | {"connectivity"}),
+        (run_main("protocol", "--gap", "6", "-o", "f.json"), SYNTH),
+        (run_main("verify", "--protocol", "g6.json", "--gap", "6"), SYNTH | {"oracle"}),
+    ],
+    ids=["import", "import-cli", "example", "reduce", "analyze", "witness", "protocol", "verify"],
+)
+def test_each_start_loads_only_the_modules_it_runs(tmp_path, start, loaded):
+    (tmp_path / "cover.json").write_text(
+        json.dumps({"universe": [1, 2, 3, 4], "sets": [[1, 2], [3], [3, 4], [2, 3]]})
+    )
+    (tmp_path / "g6.json").write_text(protocol_to_json(split_gap_protocol(6)))
+    report = 'import sys\nprint(sorted(m for m in sys.modules if m.startswith("omnikey")), file=sys.stderr)'
+    done = python(tmp_path, "-c", f"{start}\n{report}")
+    assert done.stderr.splitlines()[-1] == str(sorted({"omnikey"} | {f"omnikey.{m}" for m in loaded}))
+
+
+def test_names_and_submodules_resolve_after_a_bare_import(tmp_path):
+    python(
+        tmp_path,
+        "-c",
+        """
+import sys, omnikey
+assert omnikey.network.make_pin(4).n == 4
+assert omnikey.network is sys.modules["omnikey.network"]
+assert "omnikey.secrecy" not in sys.modules
+assert omnikey.make_gap is omnikey.network.make_gap
+assert vars(omnikey)["make_gap"] is omnikey.network.make_gap
+assert set(omnikey.__all__) | {"network", "oracle"} <= set(dir(omnikey))
+assert "omnikey.oracle" not in sys.modules
+""",
+    )

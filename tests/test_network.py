@@ -155,6 +155,25 @@ def test_unheld_messages_are_refused_briefly():
         parse_network(json.dumps({"clients": 1, "messages": 10**18, "holdings": [[1]]}))
 
 
+def test_duplicate_labels_are_refused():
+    # two messages both labelled 1 would make restrict(fam, [1]) keep only
+    # the second position and leave client 1 with nothing
+    with pytest.raises(InputFormatError, match="duplicate message labels"):
+        MessageFamily(2, 2, (1, 3), (1, 1))
+    with pytest.raises(InputFormatError, match="duplicate message labels"):
+        MessageFamily(3, 3, (1, 2, 4), (7, 9, 7))
+    # distinct labels still survive restrict, each client keeping its own
+    fam = MessageFamily(2, 2, (1, 3), (1, 5))
+    assert fam.holdings == (frozenset({1}), frozenset({1, 5}))
+    assert restrict(fam, [1]).masks == (1, 1)
+
+
+@pytest.mark.parametrize("mask", [1.0, 1.5, "1", None, True])
+def test_non_integer_masks_are_refused(mask):
+    with pytest.raises(InputFormatError, match="is not an integer"):
+        MessageFamily(2, 1, (mask, 1))
+
+
 def test_parse_network_happy_path():
     text = json.dumps(
         {"clients": 2, "messages": 2, "holdings": [[1], [2]]}
