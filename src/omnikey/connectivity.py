@@ -229,14 +229,36 @@ class PartitionCheck:
         return self.crossing >= self.required
 
 
-def _crossing_count(hg: Hypergraph, block_of: dict[int, int]) -> int:
-    total = 0
-    for idx in range(hg.m):
-        seen = set()
-        for c in hg.edge_members(idx):
-            seen.add(block_of[c])
-        total += len(seen) - 1
+def _crossing_count(edge_masks: Sequence[int], block_masks: Sequence[int]) -> int:
+    """Blocks each hyperedge meets beyond its first, summed over hyperedges.
+
+    Both sides are client bitmasks, so one AND tells whether a hyperedge
+    reaches into a block."""
+    total = -len(edge_masks)
+    for edge in edge_masks:
+        for block in block_masks:
+            if edge & block:
+                total += 1
     return total
+
+
+def _violations(
+    hg: Hypergraph, tau: int
+) -> Iterator[tuple[tuple[frozenset[int], ...], int, int]]:
+    """Each partition short of the tau crossing requirement, in enumeration
+    order, as (partition, crossing, required)."""
+    if tau < 1:
+        raise InputFormatError("tau must be positive")
+    edge_masks = hg.edge_masks
+    bit = [0] + [1 << j for j in range(hg.n)]
+    for part in iter_partitions(hg.n):
+        if len(part) == 1:
+            continue
+        block_masks = [sum(map(bit.__getitem__, block)) for block in part]
+        crossing = _crossing_count(edge_masks, block_masks)
+        required = tau * (len(part) - 1)
+        if crossing < required:
+            yield part, crossing, required
 
 
 def partition_bound_holds(
@@ -244,29 +266,23 @@ def partition_bound_holds(
 ) -> tuple[bool, PartitionCheck | None]:
     """Check every partition; on failure return the worst violation.
 
-    Ties between equally violated partitions go to the first one in
-    enumeration order."""
-    if tau < 1:
-        raise InputFormatError("tau must be positive")
+    Each partition from `iter_partitions` becomes one client bitmask per
+    block, and its crossing count is an AND of every hyperedge's mask
+    with every block's.  Ties between equally violated partitions go to
+    the first one in enumeration order."""
     worst: PartitionCheck | None = None
-    for part in iter_partitions(hg.n):
-        if len(part) == 1:
-            continue
-        block_of = {c: i for i, b in enumerate(part) for c in b}
-        crossing = _crossing_count(hg, block_of)
-        required = tau * (len(part) - 1)
-        if crossing < required:
-            margin = crossing - required
-            if worst is None or margin < worst.crossing - worst.required:
-                worst = PartitionCheck(part, crossing, required)
+    for part, crossing, required in _violations(hg, tau):
+        if worst is None or crossing - required < worst.crossing - worst.required:
+            worst = PartitionCheck(part, crossing, required)
     if worst is None:
         return True, None
     return False, worst
 
 
 def is_partition_connected(hg: Hypergraph, tau: int) -> bool:
-    """True iff every client partition meets the tau crossing requirement."""
-    return partition_bound_holds(hg, tau)[0]
+    """True iff every client partition meets the tau crossing requirement;
+    the scan stops at the first partition that does not."""
+    return next(_violations(hg, tau), None) is None
 
 
 def is_inherently_connected(fam: MessageFamily, tau: int) -> bool:

@@ -18,6 +18,7 @@ import numpy as np
 import pytest
 
 from omnikey import MessageFamily, omniscience, oracle, to_hypergraph
+from omnikey.connectivity import PartitionCheck, iter_partitions
 from omnikey.errors import InputFormatError
 from omnikey.fields import _width, rank, rref
 from omnikey.protocols import _missing_cols
@@ -242,6 +243,27 @@ def brute_partitions(items):
             out.append(smaller[:i] + [smaller[i] + [head]] + smaller[i + 1 :])
         out.append([[head]] + smaller)
     return out
+
+
+def reference_partition_check(hg, tau: int):
+    """The partition bound counted member by member: each client's block
+    index from a dict, each hyperedge's blocks gathered in a set.
+
+    Returns (holds, worst) like `partition_bound_holds`: the most violated
+    partition, ties going to the first in `iter_partitions` order."""
+    worst = None
+    for part in iter_partitions(hg.n):
+        if len(part) == 1:
+            continue
+        block_of = {c: i for i, b in enumerate(part) for c in b}
+        crossing = sum(
+            len({block_of[c] for c in hg.edge_members(idx)}) - 1 for idx in range(hg.m)
+        )
+        required = tau * (len(part) - 1)
+        if crossing < required:
+            if worst is None or crossing - required < worst.crossing - worst.required:
+                worst = PartitionCheck(part, crossing, required)
+    return worst is None, worst
 
 
 def brute_rate(fam: MessageFamily) -> Fraction:

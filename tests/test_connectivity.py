@@ -27,6 +27,7 @@ from conftest import (
     brute_partitions,
     nash_williams_bound,
     random_family,
+    reference_partition_check,
     spanning_tree_ok,
 )
 
@@ -200,6 +201,29 @@ def test_partition_bound_agrees_with_packing_on_graphs():
         for tau in range(1, k + 1):
             assert is_partition_connected(hg, tau)
         assert not is_partition_connected(hg, k + 1)
+
+
+def random_hypergraph(rng: random.Random, n: int, m: int) -> Hypergraph:
+    """Hyperedges of random holders; about a third hold a single client."""
+    masks = []
+    for _ in range(m):
+        if rng.random() < 0.3:
+            masks.append(1 << rng.randrange(n))
+        else:
+            masks.append(rng.randint(1, (1 << n) - 1))
+    return Hypergraph(n, tuple(masks))
+
+
+def test_partition_bound_matches_the_member_count():
+    # the bitmask count against the per-member reference: the same
+    # verdict, partition, crossing and requirement
+    rng = random.Random(15)
+    for _ in range(120):
+        hg = random_hypergraph(rng, rng.randint(1, 7), rng.randint(0, 8))
+        for tau in range(1, 5):
+            want = reference_partition_check(hg, tau)
+            assert partition_bound_holds(hg, tau) == want
+            assert is_partition_connected(hg, tau) == want[0]
 
 
 def test_partition_bound_rejects_bad_tau():

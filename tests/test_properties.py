@@ -17,6 +17,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from omnikey import (
+    Hypergraph,
     LinearProtocol,
     MessageFamily,
     algebraic_issues,
@@ -24,10 +25,12 @@ from omnikey import (
     broadcasts_at_most,
     demand,
     field_from_order,
+    is_partition_connected,
     max_keys,
     min_broadcasts,
     min_key_support,
     oracle,
+    partition_bound_holds,
     protocol_from_json,
     protocol_to_json,
     restrict,
@@ -55,6 +58,7 @@ from conftest import (
     reference_issues,
     reference_key_issues,
     reference_optimum,
+    reference_partition_check,
 )
 
 
@@ -92,6 +96,27 @@ def test_optimum_total_is_the_ceiling_of_the_partition_rate(fam):
     # Courtade-Wesel: the integer optimum rounds the fractional one up;
     # n stays at 7 because the brute force lists Bell(n) partitions
     assert min_broadcasts(fam).total == math.ceil(brute_rate(fam))
+
+
+@st.composite
+def hypergraphs(draw) -> Hypergraph:
+    """Hypergraphs on at most 7 clients with at most 8 hyperedges, single-
+    member hyperedges drawn as often as arbitrary ones."""
+    n = draw(st.integers(1, 7))
+    edge = st.one_of(
+        st.integers(0, n - 1).map(lambda j: 1 << j), st.integers(1, (1 << n) - 1)
+    )
+    return Hypergraph(n, tuple(draw(st.lists(edge, max_size=8))))
+
+
+@settings(deadline=None, max_examples=100)
+@given(hypergraphs(), st.integers(1, 4))
+def test_partition_bound_matches_the_member_count(hg, tau):
+    # the bitmask crossing count against the per-member one: the same
+    # verdict and the same (partition, crossing, required) certificate
+    want = reference_partition_check(hg, tau)
+    assert partition_bound_holds(hg, tau) == want
+    assert is_partition_connected(hg, tau) == want[0]
 
 
 @settings(deadline=None, max_examples=60)
