@@ -85,22 +85,21 @@ def _load_family(args) -> MessageFamily:
 def _witness_payload(fam: MessageFamily) -> dict:
     from .connectivity import (
         PARTITION_GUARD_N,
-        extract_tree_packing,
+        _widest_packing,
         induce_by_order,
         partition_bound_holds,
-        tree_packing_number,
     )
     from .network import to_hypergraph
 
     hg = to_hypergraph(fam)
     graph = induce_by_order(hg, list(range(1, fam.n + 1)))
-    packing = tree_packing_number(graph)
+    packing, trees = _widest_packing(graph)
     payload: dict = {
         "induced_edges": [list(e) for e in graph.edges],
         "tree_packing_number": packing,
     }
-    if 0 < packing and fam.n > 1:
-        payload["tree_packing"] = extract_tree_packing(graph, packing)
+    if trees:
+        payload["tree_packing"] = trees
     if fam.n <= PARTITION_GUARD_N:
         holds, check = partition_bound_holds(hg, packing + 1)
         if not holds:

@@ -15,7 +15,7 @@ from collections import deque
 from dataclasses import dataclass, field
 from typing import Iterator, Sequence
 
-from .errors import InfeasibleError, InputFormatError, SizeGuardError
+from .errors import InfeasibleError, InputFormatError, SizeGuardError, check_tau
 from .network import Hypergraph, MessageFamily
 from .omniscience import broadcasts_at_most
 
@@ -144,11 +144,32 @@ class _Packing:
                         queue.append(h)
         return False
 
-    def run(self) -> int:
+    def run(self) -> list[list[int]] | None:
+        """Edge ids of each forest, in edge order, if every forest spans."""
         for eid in range(len(self.edges)):
             if self.owner[eid] == -1:
                 self.augment(eid)
-        return self.total
+        if self.total < self.k * (self.n - 1):
+            return None
+        trees: list[list[int]] = [[] for _ in range(self.k)]
+        for eid, f in enumerate(self.owner):
+            if f >= 0:
+                trees[f].append(eid)
+        return trees
+
+
+def _widest_packing(graph: InducedMultigraph) -> tuple[int, list[list[int]]]:
+    """`tree_packing_number` and the trees of its packing (none for one
+    vertex), which `extract_tree_packing` would build again for that count."""
+    if graph.n == 1:
+        return len(graph.edges) + 1, []
+    widest: list[list[int]] = []
+    for k in range(1, len(graph.edges) // (graph.n - 1) + 1):
+        trees = _Packing(graph.n, graph.edges, k).run()
+        if trees is None:
+            break
+        widest = trees
+    return len(widest), widest
 
 
 def tree_packing_number(graph: InducedMultigraph) -> int:
@@ -156,33 +177,16 @@ def tree_packing_number(graph: InducedMultigraph) -> int:
 
     A single vertex spans with the empty tree, so any count works; the
     edge count plus one stands in for that unbounded case."""
-    if graph.n == 1:
-        return len(graph.edges) + 1
-    best = 0
-    span = graph.n - 1
-    for k in range(1, len(graph.edges) // span + 1):
-        if _Packing(graph.n, graph.edges, k).run() == k * span:
-            best = k
-        else:
-            break
-    return best
+    return _widest_packing(graph)[0]
 
 
 def extract_tree_packing(graph: InducedMultigraph, count: int) -> list[list[int]]:
     """`count` pairwise edge-disjoint spanning trees, as edge-id lists."""
     if count < 0:
         raise InputFormatError("tree count must be nonnegative")
-    if count == 0:
-        return []
-    if graph.n == 1:
-        return [[] for _ in range(count)]
-    pack = _Packing(graph.n, graph.edges, count)
-    if pack.run() < count * (graph.n - 1):
+    trees = _Packing(graph.n, graph.edges, count).run()
+    if trees is None:
         raise InfeasibleError(f"no packing of {count} edge-disjoint spanning trees")
-    trees: list[list[int]] = [[] for _ in range(count)]
-    for eid, f in enumerate(pack.owner):
-        if f >= 0:
-            trees[f].append(eid)
     return trees
 
 
@@ -247,8 +251,7 @@ def _violations(
 ) -> Iterator[tuple[tuple[frozenset[int], ...], int, int]]:
     """Each partition short of the tau crossing requirement, in enumeration
     order, as (partition, crossing, required)."""
-    if tau < 1:
-        raise InputFormatError("tau must be positive")
+    check_tau(tau)
     edge_masks = hg.edge_masks
     bit = [0] + [1 << j for j in range(hg.n)]
     for part in iter_partitions(hg.n):
@@ -288,6 +291,5 @@ def is_partition_connected(hg: Hypergraph, tau: int) -> bool:
 def is_inherently_connected(fam: MessageFamily, tau: int) -> bool:
     """True iff omniscience fits within m - tau broadcasts, the regime where
     tau message-sized secrets survive every partition of the clients."""
-    if tau < 1:
-        raise InputFormatError("tau must be positive")
+    check_tau(tau)
     return broadcasts_at_most(fam, fam.m - tau)

@@ -1,4 +1,4 @@
-"""Exception types shared across the package.
+"""Exception types, and the integer checks on caller input, shared across the package.
 
 Each class maps to one CLI exit code so failures stay distinguishable
 from the shell: InfeasibleError -> 1, InputFormatError -> 2,
@@ -22,3 +22,16 @@ class InfeasibleError(RuntimeError):
 
 class SynthesisExhaustedError(RuntimeError):
     """Coefficient search gave up after the retry budget."""
+
+
+def is_int(value) -> bool:
+    """True iff `value` is an int and not a bool; a plain int returns at once."""
+    return type(value) is int or (isinstance(value, int) and not isinstance(value, bool))
+
+
+def check_tau(tau, least: int = 1) -> None:
+    """Refuse a key count that is not an integer or is below `least`."""
+    if not is_int(tau):
+        raise InputFormatError("tau must be an integer")
+    if tau < least:
+        raise InputFormatError("tau must be positive" if least else "tau must be nonnegative")

@@ -30,7 +30,7 @@ from __future__ import annotations
 from functools import lru_cache
 from typing import Sequence
 
-from .errors import InputFormatError, SizeGuardError
+from .errors import InputFormatError, SizeGuardError, is_int
 
 MAX_ORDER = 1 << 16
 
@@ -308,7 +308,7 @@ class Field:
             p, k, modulus = d["p"], d["k"], list(d["modulus"])
         except (KeyError, TypeError) as exc:
             raise InputFormatError(f"bad field description: {exc}") from exc
-        if any(isinstance(v, bool) or not isinstance(v, int) for v in (p, k, *modulus)):
+        if not all(map(is_int, (p, k, *modulus))):
             raise InputFormatError(
                 "bad field description: p, k and modulus entries must be integers"
             )

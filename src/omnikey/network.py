@@ -14,7 +14,7 @@ from itertools import accumulate, combinations
 from operator import or_
 from typing import Iterable, Sequence
 
-from .errors import InputFormatError, SizeGuardError
+from .errors import InputFormatError, SizeGuardError, is_int
 
 _ONE = ord("1")
 
@@ -41,6 +41,8 @@ class MessageFamily:
     labels: tuple[int, ...] = field(default=())
 
     def __post_init__(self) -> None:
+        if not (is_int(self.n) and is_int(self.m)):
+            raise InputFormatError("client and message counts must be integers")
         if self.n < 1:
             raise InputFormatError("need at least one client")
         if self.m < 1:
@@ -56,8 +58,7 @@ class MessageFamily:
         full = (1 << self.m) - 1
         union = 0
         for mask in self.masks:
-            # a plain int skips both isinstance calls
-            if type(mask) is not int and (not isinstance(mask, int) or isinstance(mask, bool)):
+            if not is_int(mask):
                 raise InputFormatError(f"holding mask {mask!r} is not an integer")
             if mask < 0 or mask > full:
                 raise InputFormatError("holding mask out of range")
@@ -76,6 +77,10 @@ class MessageFamily:
         cls, n: int, m: int, holdings: Sequence[Sequence[int]]
     ) -> "MessageFamily":
         """Build from 1-based message lists, one per client."""
+        if not (is_int(n) and is_int(m)):
+            raise InputFormatError("client and message counts must be integers")
+        if m < 1:
+            raise InputFormatError("need at least one message")
         if len(holdings) != n:
             raise InputFormatError(f"expected {n} holding lists, got {len(holdings)}")
         # every message needs a holder: refused before any work sized by m
@@ -91,8 +96,7 @@ class MessageFamily:
         for j, hold in enumerate(holdings, start=1):
             bits = bytearray(b"0") * m
             for msg in hold:
-                # a plain int skips both isinstance calls
-                if type(msg) is not int and (not isinstance(msg, int) or isinstance(msg, bool)):
+                if not is_int(msg):
                     raise InputFormatError(f"client {j}: message index {msg!r} is not an integer")
                 if not 1 <= msg <= m:
                     raise InputFormatError(f"client {j}: message {msg} out of range 1..{m}")
@@ -142,9 +146,9 @@ def parse_network(text: str) -> MessageFamily:
     if not isinstance(data, dict) or set(data) != {"clients", "messages", "holdings"}:
         raise InputFormatError('expected an object with keys "clients", "messages", "holdings"')
     n, m, holdings = data["clients"], data["messages"], data["holdings"]
-    if not isinstance(n, int) or isinstance(n, bool) or n < 1:
+    if not is_int(n) or n < 1:
         raise InputFormatError("clients must be a positive integer")
-    if not isinstance(m, int) or isinstance(m, bool) or m < 1:
+    if not is_int(m) or m < 1:
         raise InputFormatError("messages must be a positive integer")
     if not isinstance(holdings, list) or any(not isinstance(h, list) for h in holdings):
         raise InputFormatError("holdings must be a list of lists")

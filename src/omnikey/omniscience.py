@@ -2,34 +2,27 @@
 
 For every nonempty proper client subset S, omniscience requires at least
 as many broadcasts from inside S as there are messages nobody outside S
-holds.  Two routes answer questions about these 2^n - 2 constraints.
+holds.  One polynomial pass, `_truncation`, answers questions about
+these 2^n - 2 constraints: a Dilworth truncation built one client at a
+time with one small max-flow per client and no subset table, so with no
+client-count guard (Milosavljevic et al., "Efficient algorithms for the
+data exchange problem", IEEE T-IT 2016; the budget threshold is
+Courtade-Wesel, IEEE T-IT 2014).  Run at a budget, it decides whether
+the family, filtered to a message subset, fits within it: that is
+`_decision_keep`, behind `broadcasts_at_most`, every decision of the
+secrecy layer and `_min_total`, which binary-searches the smallest
+budget in 0..m that it accepts.  Run at an allocation's own total with
+the allocation's entries, it checks that allocation (`allocation_feasible`).
 
-Decisions ("does the family, filtered to a message subset, fit within
-a budget?") take one polynomial pass, `_decision_keep`: a Dilworth
-truncation of the budget's rank function, built one client at a time
-with one small max-flow per client (Milosavljevic et al., "Efficient
-algorithms for the data exchange problem", IEEE T-IT 2016; the budget
-threshold is Courtade-Wesel, IEEE T-IT 2014).  It builds no subset
-table, so it has no client-count guard.  `broadcasts_at_most`, and
-through it the secrecy layer's feasibility checks, support walk and
-criticality checks, all decide this way, and so does `allocation_feasible`,
-at the allocation's own total.
-
-The optimum total takes the same pass: `_min_total` binary-searches the
-smallest budget in 0..m that it accepts.  Its lexicographically
-smallest allocation still comes from one lazy-cut loop, `_solve`, run
-once at that total.  It keeps an explicit list of subset constraints,
-seeded with the singletons and co-singletons.  A depth-first search,
-`_dfs_budget`, looks for the lexicographically smallest allocation
-within the total that meets the listed constraints; the optimum's own
-allocation meets them all, so there always is one.  Separation then
-scans every subset for the most violated constraint: none means the
-allocation is the answer, else that constraint joins the list and the
-search runs again.  The split is temporary: the same pass, run once
-more in reverse client order, gives the lexicographically smallest
-allocation too, but a faster omniscience workload cannot be measured
-until the benchmark's peak-memory reading stops growing with the batch
-count.
+The optimum's lexicographically smallest allocation comes from one
+lazy-cut loop, `_solve`, run once at that total: a depth-first search,
+`_dfs_budget`, within the total over an explicit list of subset
+constraints, seeded with the singletons and co-singletons, to which
+separation adds the most violated constraint until none is left.  The
+pass in reverse client order gives the same allocation (the tests check
+it), but `_solve` stays until the benchmark's peak memory stops growing
+with the batch count, so that a faster omniscience workload can be
+measured.
 
 Separation reads the right-hand sides of every subset constraint, built
 per call (n <= 24) from a union table.  The table is one numpy array of
@@ -55,7 +48,7 @@ from functools import cached_property
 from operator import index
 from typing import TYPE_CHECKING, Iterable, Sequence
 
-from .errors import InputFormatError, SizeGuardError
+from .errors import InputFormatError, SizeGuardError, is_int
 from .network import MessageFamily
 
 if TYPE_CHECKING:
@@ -303,42 +296,44 @@ def _solve(fam: MessageFamily) -> tuple[int, list[int]]:
 
 
 # ---------------------------------------------------------------------------
-# the decision: a Dilworth-truncation pass with one max-flow per client
+# the Dilworth-truncation pass, with one max-flow per client
 # ---------------------------------------------------------------------------
+
+
+def _truncation(masks: Sequence[int], keep: int, budget: int, alloc=None) -> list[int] | None:
+    """The Dilworth truncation pass over `masks` filtered to `keep`
+    message positions, at `budget`: one entry per client, or None.
+
+    With K = `keep` and B = `budget`, let g(C) = |X_C & K| + B - |K| for
+    every nonempty client set C.  An allocation within B exists iff some
+    x with x(C) <= g(C) for every such C reaches x(V) >= B: then
+    x(V) = g(V) = B (every message has a holder) and each
+    x_i >= |K| - |X_{V-i} & K| >= 0.  That maximum is the Dilworth
+    truncation of g, reached greedily one client at a time with x_i at
+
+        cap_i = |X_i & K| + B - |K| - max over S <= {j < i} of
+                [x(S) - |(X_S & K) - X_i|]  =  min over S of g(S + i) - x(S),
+
+    where the inner maximum is a max-closure (`_excess`).  Given `alloc`,
+    x_i is alloc[i] instead.  The pass returns None at the first x_i < 0,
+    which no feasible answer has, or x_i > cap_i, which breaks the
+    constraint of the minimising S + i."""
+    base = budget - keep.bit_count()
+    x: list[int] = []
+    for i, mask in enumerate(masks):
+        cap = (mask & keep).bit_count() + base - _excess(masks[:i], x, keep & ~mask)
+        xi = cap if alloc is None else alloc[i]
+        if xi < 0 or xi > cap:
+            return None
+        x.append(xi)
+    return x
 
 
 def _decision_keep(fam: MessageFamily, keep: int, budget: int) -> bool:
     """True iff the family filtered to `keep` message positions admits
-    omniscience within `budget`.
-
-    With K = `keep` and B = `budget`, let g(C) = |X_C & K| + B - |K| for
-    every nonempty client set C.  An allocation a within B exists iff
-    some a with a(C) <= g(C) for every such C reaches a(V) >= B: then
-    a(V) = g(V) = B (every message has a holder) and each
-    a_i >= |K| - |X_{V-i} & K| >= 0.  That
-    maximum is the Dilworth truncation of g, reached greedily one client
-    at a time:
-
-        x_i = |X_i & K| + B - |K| - max over S <= {j < i} of
-              [x(S) - |(X_S & K) - X_i|],
-
-    where the inner maximum is a max-closure (`_excess`).  No x_i may be
-    negative in a feasible answer, so the pass stops at the first one."""
-    if fam.n == 1:
-        return budget >= 0
-    masks = fam.masks
-    base = budget - keep.bit_count()
-    total = 0
-    x: list[int] = []
-    for i, mask in enumerate(masks):
-        xi = (mask & keep).bit_count() + base
-        if i:
-            xi -= _excess(masks[:i], x, keep & ~mask)
-        if xi < 0:
-            return False
-        x.append(xi)
-        total += xi
-    return total >= budget
+    omniscience within `budget`: the truncation pass reaches it."""
+    x = _truncation(fam.masks, keep, budget)
+    return x is not None and sum(x) >= budget
 
 
 def _min_total(fam: MessageFamily) -> int:
@@ -452,6 +447,8 @@ def min_broadcasts(fam: MessageFamily) -> OmniscienceResult:
 
 def broadcasts_at_most(fam: MessageFamily, budget: int) -> bool:
     """Decision form of `min_broadcasts`, cheaper when only a bound matters."""
+    if not is_int(budget):
+        raise InputFormatError("budget must be an integer")
     return _decision_keep(fam, (1 << fam.m) - 1, budget)
 
 
@@ -485,16 +482,7 @@ def separate(fam: MessageFamily, allocation: Sequence[int]) -> frozenset[int] | 
 def allocation_feasible(fam: MessageFamily, allocation: Sequence[int]) -> bool:
     """True iff the allocation satisfies every subset constraint: with
     B = a(V), a(C) <= |X_C| + B - m for every complement C of a nonempty
-    proper set.  That is the pass of `_decision_keep` at budget B with a in
-    place of x, so no subset table is built."""
+    proper set.  That is the truncation pass at budget B with a in place
+    of x, so no subset table is built."""
     a = _checked_allocation(fam, allocation)
-    masks = fam.masks
-    full = (1 << fam.m) - 1
-    base = sum(a) - fam.m
-    for i, mask in enumerate(masks):
-        cap = mask.bit_count() + base
-        if i:
-            cap -= _excess(masks[:i], a[:i], full & ~mask)
-        if a[i] > cap:
-            return False
-    return True
+    return _truncation(fam.masks, (1 << fam.m) - 1, sum(a), a) is not None

@@ -37,6 +37,8 @@ from .errors import (
     InputFormatError,
     SizeGuardError,
     SynthesisExhaustedError,
+    check_tau,
+    is_int,
 )
 from .fields import (
     Field,
@@ -73,16 +75,12 @@ _TRIES_PER_FIELD = 8
 _KINDS = ("omniscience", "secret-key")
 
 
-def _is_int(v) -> bool:
-    return isinstance(v, int) and not isinstance(v, bool)
-
-
 def _check_rows(field: Field, rows, width: int, what: str) -> None:
     for r in rows:
         if len(r) != width:
             raise InputFormatError(f"{what} must have {width} coordinates")
         for v in r:
-            if not _is_int(v) or not 0 <= v < field.q:
+            if not is_int(v) or not 0 <= v < field.q:
                 raise InputFormatError(f"{what} entries must be field codes below {field.q}")
 
 
@@ -104,14 +102,14 @@ class LinearProtocol:
 
     def __post_init__(self) -> None:
         for what, v in (("clients", self.n), ("messages", self.m), ("dimension", self.dim)):
-            if not _is_int(v) or v < 1:
+            if not is_int(v) or v < 1:
                 raise InputFormatError(f"{what} must be a positive integer")
         if self.kind not in _KINDS:
             raise InputFormatError(f"unknown protocol kind {self.kind!r}")
         if len(self.rows) != self.dim * len(self.senders):
             raise InputFormatError("row count must be dimension times transmission count")
         for s in self.senders:
-            if not _is_int(s) or not 1 <= s <= self.n:
+            if not is_int(s) or not 1 <= s <= self.n:
                 raise InputFormatError(f"sender {s!r} is not a client")
         width = self.m * self.dim
         _check_rows(self.field, self.rows, width, "transmission rows")
@@ -124,7 +122,7 @@ class LinearProtocol:
             object.__setattr__(self, "support", tuple(range(1, self.m + 1)))
         labels = self.support
         if not (
-            all(_is_int(s) and 1 <= s <= self.m for s in labels)
+            all(is_int(s) and 1 <= s <= self.m for s in labels)
             and list(labels) == sorted(set(labels))
         ):
             raise InputFormatError("support must list distinct message labels in order")
@@ -446,8 +444,7 @@ def synth_sk(
     completes the transmission rows to a basis; the completion rows are
     the keys.  `field` pins the coefficient field instead of escalating
     from GF(2)."""
-    if tau < 1:
-        raise InputFormatError("tau must be positive")
+    check_tau(tau)
     field = _as_field(field)
     support = min_key_support(fam, tau)
     if support is None:

@@ -29,12 +29,12 @@ two-block floor before it reaches an omniscience decision, so leaves that
 cannot pass never reach the solver.
 
 Each omniscience decision (does the family, filtered to K, fit within
-|K| - tau broadcasts?) is the polynomial pass `_decision_keep`: one small
-max-flow per client and no subset table, and the optimum total
-`_min_total` is a binary search over the same pass.  So `max_keys`,
-`sk_feasible`, `is_critical`, `min_key_support` and `minimum_cover`
-take any client count, while `build_report`, which reports the optimum's
-allocation from `min_broadcasts`, stays limited to 24 clients.
+|K| - tau broadcasts?) and the optimum total `_min_total` take the
+polynomial truncation pass of `omniscience`, which builds no subset
+table.  So `max_keys`, `sk_feasible`, `is_critical`, `min_key_support`
+and `minimum_cover` take any client count, while `build_report`, which
+reports the optimum's allocation from `min_broadcasts`, stays limited
+to 24 clients.
 """
 
 from __future__ import annotations
@@ -43,7 +43,7 @@ import json
 import math
 from dataclasses import dataclass
 
-from .errors import InfeasibleError, InputFormatError
+from .errors import InfeasibleError, InputFormatError, check_tau
 from .network import MessageFamily, to_hypergraph
 from .omniscience import _decision_keep, _min_total, broadcasts_at_most, min_broadcasts
 
@@ -69,19 +69,16 @@ def max_keys(fam: MessageFamily) -> int:
 
 
 def sk_feasible(fam: MessageFamily, tau: int) -> bool:
-    """True iff tau keys are attainable, checked without a full optimum."""
-    if tau < 0:
-        raise InputFormatError("tau must be nonnegative")
-    if tau == 0:
-        return True
+    """True iff tau keys are attainable, checked without a full optimum
+    (tau = 0 always is: m broadcasts, each message once, always suffice)."""
+    check_tau(tau, 0)
     return broadcasts_at_most(fam, fam.m - tau)
 
 
 def is_critical(fam: MessageFamily, tau: int) -> bool:
     """True iff the family yields exactly tau keys and dropping any single
     message loses one: no message is dead weight."""
-    if tau < 1:
-        raise InputFormatError("tau must be positive")
+    check_tau(tau)
     total = _min_total(fam)
     if fam.m - total != tau:
         return False
@@ -218,8 +215,7 @@ def min_key_support(fam: MessageFamily, tau: int) -> tuple[int, ...] | None:
     """Labels of the smallest message subset supporting tau keys, or None.
 
     Among subsets of the minimum size, the lexicographically first wins."""
-    if tau < 1:
-        raise InputFormatError("tau must be positive")
+    check_tau(tau)
     if not sk_feasible(fam, tau):
         return None
     combo = _Walk(fam).search(tau, tau)
@@ -267,8 +263,8 @@ def build_report(fam: MessageFamily, tau: int | None = None) -> SecrecyReport:
     previous size instead of restarting from scratch, on one walk built
     for the family.  Reachability is read off the optimum total, so no
     key count asks for a further decision on the whole family."""
-    if tau is not None and tau < 1:
-        raise InputFormatError("tau must be positive")
+    if tau is not None:
+        check_tau(tau)
     res = min_broadcasts(fam)
     tmax = fam.m - res.total
     taus = range(1, tmax + 1) if tau is None else range(tau, min(tau, tmax) + 1)

@@ -80,6 +80,15 @@ def brute_min_broadcasts(fam: MessageFamily):
                 return total, vec
 
 
+def reverse_pass(fam: MessageFamily) -> tuple[int, ...]:
+    """The truncation pass over the clients in reverse order, at the
+    optimum total, read back in client order: greedy on a base polytope
+    in reverse order gives its lexicographically smallest base."""
+    total = omniscience._min_total(fam)
+    x = omniscience._truncation(fam.masks[::-1], (1 << fam.m) - 1, total)
+    return tuple(x[::-1])
+
+
 def brute_tight_sets(fam: MessageFamily, alloc):
     """Every nonempty proper client subset (1-based ids) whose cut
     constraint `alloc` meets with equality, ascending by client bitmask."""

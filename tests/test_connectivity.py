@@ -21,6 +21,7 @@ from omnikey import (
     to_hypergraph,
     tree_packing_number,
 )
+from omnikey.connectivity import _widest_packing
 from omnikey.errors import InfeasibleError, InputFormatError, SizeGuardError
 
 from conftest import (
@@ -110,6 +111,8 @@ def test_extracted_trees_are_spanning_and_disjoint():
         n = rng.randint(2, 6)
         graph = random_multigraph(rng, n, rng.randint(n, 3 * n))
         k = tree_packing_number(graph)
+        # the witness reads the number and the trees off one packing pass
+        assert _widest_packing(graph) == (k, extract_tree_packing(graph, k))
         if k == 0:
             continue
         trees = extract_tree_packing(graph, k)
@@ -230,6 +233,19 @@ def test_partition_bound_rejects_bad_tau():
     hg = to_hypergraph(make_pin(3))
     with pytest.raises(InputFormatError):
         partition_bound_holds(hg, 0)
+
+
+@pytest.mark.parametrize("tau", [1.5, 1.0, True, "1"], ids=repr)
+def test_non_integer_tau_is_refused(tau):
+    fam = make_pin(4)
+    hg = to_hypergraph(fam)
+    for check, arg in (
+        (partition_bound_holds, hg),
+        (is_partition_connected, hg),
+        (is_inherently_connected, fam),
+    ):
+        with pytest.raises(InputFormatError, match="tau must be an integer"):
+            check(arg, tau)
 
 
 def test_inherent_connectivity_thresholds():

@@ -174,6 +174,23 @@ def test_non_integer_masks_are_refused(mask):
         MessageFamily(2, 1, (mask, 1))
 
 
+@pytest.mark.parametrize(
+    "n, m", [(1, 2.0), (True, 1), (1.0, 1), (1, "1"), (1, None), (1, 1e12)], ids=repr
+)
+def test_non_integer_counts_are_refused(n, m):
+    # from_holdings refuses them before any work sized by m
+    with pytest.raises(InputFormatError, match="counts must be integers"):
+        MessageFamily(n, m, (1,))
+    with pytest.raises(InputFormatError, match="counts must be integers"):
+        MessageFamily.from_holdings(n, m, [[1]])
+
+
+def test_from_holdings_needs_a_message():
+    # no message left an empty bit string for int(..., 2)
+    with pytest.raises(InputFormatError, match="need at least one message"):
+        MessageFamily.from_holdings(1, 0, [[]])
+
+
 def test_parse_network_happy_path():
     text = json.dumps(
         {"clients": 2, "messages": 2, "holdings": [[1], [2]]}

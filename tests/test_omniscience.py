@@ -30,6 +30,7 @@ from conftest import (
     brute_restrict_total,
     brute_tight_sets,
     random_family,
+    reverse_pass,
     union_size,
 )
 
@@ -62,6 +63,39 @@ def test_single_client():
     assert min_broadcasts(fam).total == 0
     assert broadcasts_at_most(fam, 0)
     assert separate(fam, [0]) is None
+    # a lone client holds every message, so the pass is the budget itself
+    for keep in (0, 0b111):
+        assert not _decision_keep(fam, keep, -1)
+        assert _decision_keep(fam, keep, 0)
+        assert _decision_keep(fam, keep, fam.m)
+
+
+def test_reverse_pass_gives_the_lexmin_allocation():
+    rng = random.Random(25)
+    families = [random_family(rng, rng.randint(1, 9), rng.randint(1, 30)) for _ in range(500)]
+    families += [make_pin(n) for n in range(2, 9)]
+    families += [make_gap(4), make_gap(6), make_cyclic15()]
+    for fam in families:
+        assert reverse_pass(fam) == min_broadcasts(fam).allocation, fam.masks
+
+
+def test_reverse_pass_past_the_subset_tables(table_builds):
+    # pin:30 and gap:24 have 30 and 277 clients, past the tables' 24: the
+    # reversed pass sums to the optimum (435 - 15 and 24 - 2 broadcasts)
+    # and the allocation check accepts it, but not one broadcast fewer
+    for fam, total in ((make_pin(30), 420), (make_gap(24), 22)):
+        alloc = list(reverse_pass(fam))
+        assert sum(alloc) == total
+        assert allocation_feasible(fam, alloc)
+        alloc[next(j for j, a in enumerate(alloc) if a)] -= 1
+        assert not allocation_feasible(fam, alloc)
+    assert not table_builds
+
+
+@pytest.mark.parametrize("budget", [1.0, 2.5, "2", True, None], ids=repr)
+def test_budgets_must_be_integers(budget):
+    with pytest.raises(InputFormatError, match="budget must be an integer"):
+        broadcasts_at_most(make_pin(4), budget)
 
 
 def test_gap_family_optimum():

@@ -48,6 +48,7 @@ from omnikey.protocols import _client_cols
 
 from conftest import (
     brute_feasible,
+    brute_min_broadcasts,
     brute_rate,
     brute_restrict_total,
     brute_sk_cost,
@@ -59,6 +60,7 @@ from conftest import (
     reference_key_issues,
     reference_optimum,
     reference_partition_check,
+    reverse_pass,
 )
 
 
@@ -88,6 +90,12 @@ def test_allocation_feasible_matches_brute_force(fam, data):
     # the decision pass at the allocation's own total against every cut
     alloc = data.draw(st.lists(st.integers(0, 3), min_size=fam.n, max_size=fam.n))
     assert allocation_feasible(fam, alloc) == brute_feasible(fam, alloc)
+
+
+@settings(deadline=None, max_examples=200)
+@given(families(max_n=5, max_m=6))
+def test_reverse_pass_gives_the_brute_force_lexmin(fam):
+    assert reverse_pass(fam) == brute_min_broadcasts(fam)[1]
 
 
 @settings(deadline=None, max_examples=200)

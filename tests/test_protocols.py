@@ -61,6 +61,12 @@ def client_view(fam, proto, client, values):
     return own
 
 
+@pytest.mark.parametrize("tau", [1.5, 1.0, True, "1"], ids=repr)
+def test_synth_sk_refuses_non_integer_key_counts(tau):
+    with pytest.raises(InputFormatError, match="tau must be an integer"):
+        synth_sk(make_pin(4), tau)
+
+
 def test_validation_rejects_inconsistent_shapes():
     with pytest.raises(InputFormatError):
         LinearProtocol(GF2, 2, 2, "omniscience", (1,), ())

@@ -66,6 +66,24 @@ def test_sk_feasible_thresholds():
         sk_feasible(fam, -1)
 
 
+@pytest.mark.parametrize("tau", [1.5, 1.0, True, "1"], ids=repr)
+@pytest.mark.parametrize(
+    "check", [sk_feasible, is_critical, min_key_support, linear_secrecy_cost, build_report]
+)
+def test_non_integer_key_counts_are_refused(check, tau):
+    with pytest.raises(InputFormatError, match="tau must be an integer"):
+        check(make_pin(4), tau)
+
+
+def test_key_counts_out_of_range_keep_their_messages():
+    fam = make_pin(4)
+    for check in (is_critical, min_key_support, linear_secrecy_cost, build_report):
+        with pytest.raises(InputFormatError, match="^tau must be positive$"):
+            check(fam, 0)
+    with pytest.raises(InputFormatError, match="^tau must be nonnegative$"):
+        sk_feasible(fam, -1)
+
+
 def test_cyclic15_cost_table():
     rep = build_report(make_cyclic15())
     assert rep.min_broadcasts == 9
