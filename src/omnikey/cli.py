@@ -85,21 +85,22 @@ def _load_family(args) -> MessageFamily:
 def _witness_payload(fam: MessageFamily) -> dict:
     from .connectivity import (
         PARTITION_GUARD_N,
-        _widest_packing,
+        extract_tree_packing,
         induce_by_order,
         partition_bound_holds,
+        tree_packing_number,
     )
     from .network import to_hypergraph
 
     hg = to_hypergraph(fam)
     graph = induce_by_order(hg, list(range(1, fam.n + 1)))
-    packing, trees = _widest_packing(graph)
+    packing = tree_packing_number(graph)
     payload: dict = {
         "induced_edges": [list(e) for e in graph.edges],
         "tree_packing_number": packing,
     }
-    if trees:
-        payload["tree_packing"] = trees
+    if fam.n > 1 and packing:
+        payload["tree_packing"] = extract_tree_packing(graph, packing)
     if fam.n <= PARTITION_GUARD_N:
         holds, check = partition_bound_holds(hg, packing + 1)
         if not holds:

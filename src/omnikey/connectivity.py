@@ -2,11 +2,17 @@
 
 A hypergraph on clients (one hyperedge per message, containing its
 holders) induces a multigraph once the members of each hyperedge are
-chained along a client order.  Edge-disjoint spanning trees of such
-multigraphs certify connectivity strength; the partition bound gives the
-matching impossibility side: over every partition P of the clients, the
-hyperedges must span at least tau * (|P| - 1) block boundaries, counting
-each hyperedge once per extra block it touches.
+chained along a client order.  The partition bound at tau asks every
+client partition P to be crossed tau * (|P| - 1) times, a hyperedge
+counting once per extra block it meets; on a multigraph that is
+Nash-Williams-Tutte's condition for tau edge-disjoint spanning trees.
+
+Read as messages held by their members, the hyperedges give blocks C with
+sum |X_C| = crossing(P) + m, and B broadcasts suffice iff every P has
+crossing(P) >= (m - B)(|P| - 1).  So for n >= 2 the bound holds at tau iff
+m - tau broadcasts suffice, and the packing number is m less the fewest
+broadcasts: one truncation pass each.  Only `partition_bound_holds`, which
+names the worst partition, enumerates them (up to PARTITION_GUARD_N clients).
 """
 
 from __future__ import annotations
@@ -15,9 +21,9 @@ from collections import deque
 from dataclasses import dataclass, field
 from typing import Iterator, Sequence
 
-from .errors import InfeasibleError, InputFormatError, SizeGuardError, check_tau
-from .network import Hypergraph, MessageFamily
-from .omniscience import broadcasts_at_most
+from .errors import InfeasibleError, InputFormatError, SizeGuardError, check_tau, is_int
+from .network import Hypergraph, MessageFamily, _transpose
+from .omniscience import _min_total, broadcasts_at_most
 
 __all__ = [
     "InducedMultigraph",
@@ -43,9 +49,13 @@ class InducedMultigraph:
     origins: tuple[int, ...] = field(default=())
 
     def __post_init__(self):
+        if not is_int(self.n):
+            raise InputFormatError("vertex count must be an integer")
         if self.n < 1:
             raise InputFormatError("multigraph needs at least one vertex")
         for u, v in self.edges:
+            if not (is_int(u) and is_int(v)):
+                raise InputFormatError(f"edge ({u!r}, {v!r}) has a non-integer end")
             if not (1 <= u <= self.n and 1 <= v <= self.n):
                 raise InputFormatError(f"edge ({u}, {v}) leaves the vertex range")
             if u == v:
@@ -83,7 +93,6 @@ class _Packing:
         self.edges = list(edges)
         self.owner = [-1] * len(edges)
         self.adj = [[[] for _ in range(n + 1)] for _ in range(k)]
-        self.total = 0
 
     def _path(self, f: int, src: int, dst: int) -> list[int] | None:
         """Edge ids along the forest path src..dst, or None if disconnected."""
@@ -134,7 +143,6 @@ class _Packing:
                         self._attach(target, cur)
                         self.owner[cur] = target
                         if old == -1:
-                            self.total += 1
                             return True
                         self._detach(old, cur)
                         cur, target = pred[cur], old
@@ -149,39 +157,36 @@ class _Packing:
         for eid in range(len(self.edges)):
             if self.owner[eid] == -1:
                 self.augment(eid)
-        if self.total < self.k * (self.n - 1):
-            return None
         trees: list[list[int]] = [[] for _ in range(self.k)]
         for eid, f in enumerate(self.owner):
             if f >= 0:
                 trees[f].append(eid)
-        return trees
+        return None if any(len(tree) < self.n - 1 for tree in trees) else trees
 
 
-def _widest_packing(graph: InducedMultigraph) -> tuple[int, list[list[int]]]:
-    """`tree_packing_number` and the trees of its packing (none for one
-    vertex), which `extract_tree_packing` would build again for that count."""
-    if graph.n == 1:
-        return len(graph.edges) + 1, []
-    widest: list[list[int]] = []
-    for k in range(1, len(graph.edges) // (graph.n - 1) + 1):
-        trees = _Packing(graph.n, graph.edges, k).run()
-        if trees is None:
-            break
-        widest = trees
-    return len(widest), widest
+def _holders(n: int, edge_masks: Sequence[int]) -> MessageFamily:
+    """The family with one message per edge, held by the edge's clients."""
+    return MessageFamily(n, len(edge_masks), _transpose(edge_masks, n))
 
 
 def tree_packing_number(graph: InducedMultigraph) -> int:
-    """Largest k with k edge-disjoint spanning trees.
+    """Largest k with k edge-disjoint spanning trees: m less the fewest
+    broadcasts when each of the m edges is a message its ends hold.
 
     A single vertex spans with the empty tree, so any count works; the
     edge count plus one stands in for that unbounded case."""
-    return _widest_packing(graph)[0]
+    if graph.n == 1:
+        return len(graph.edges) + 1
+    if not graph.edges:
+        return 0
+    fam = _holders(graph.n, [(1 << u - 1) | (1 << v - 1) for u, v in graph.edges])
+    return fam.m - _min_total(fam)
 
 
 def extract_tree_packing(graph: InducedMultigraph, count: int) -> list[list[int]]:
     """`count` pairwise edge-disjoint spanning trees, as edge-id lists."""
+    if not is_int(count):
+        raise InputFormatError("tree count must be an integer")
     if count < 0:
         raise InputFormatError("tree count must be nonnegative")
     trees = _Packing(graph.n, graph.edges, count).run()
@@ -197,6 +202,8 @@ def extract_tree_packing(graph: InducedMultigraph, count: int) -> list[list[int]
 
 def iter_partitions(n: int) -> Iterator[tuple[frozenset[int], ...]]:
     """All partitions of {1..n}, blocks ordered by their smallest member."""
+    if not is_int(n):
+        raise InputFormatError("partition ground set size must be an integer")
     if n < 1:
         raise InputFormatError("partition ground set must be nonempty")
     if n > PARTITION_GUARD_N:
@@ -246,24 +253,6 @@ def _crossing_count(edge_masks: Sequence[int], block_masks: Sequence[int]) -> in
     return total
 
 
-def _violations(
-    hg: Hypergraph, tau: int
-) -> Iterator[tuple[tuple[frozenset[int], ...], int, int]]:
-    """Each partition short of the tau crossing requirement, in enumeration
-    order, as (partition, crossing, required)."""
-    check_tau(tau)
-    edge_masks = hg.edge_masks
-    bit = [0] + [1 << j for j in range(hg.n)]
-    for part in iter_partitions(hg.n):
-        if len(part) == 1:
-            continue
-        block_masks = [sum(map(bit.__getitem__, block)) for block in part]
-        crossing = _crossing_count(edge_masks, block_masks)
-        required = tau * (len(part) - 1)
-        if crossing < required:
-            yield part, crossing, required
-
-
 def partition_bound_holds(
     hg: Hypergraph, tau: int
 ) -> tuple[bool, PartitionCheck | None]:
@@ -273,19 +262,31 @@ def partition_bound_holds(
     block, and its crossing count is an AND of every hyperedge's mask
     with every block's.  Ties between equally violated partitions go to
     the first one in enumeration order."""
+    check_tau(tau)
+    bit = [0] + [1 << j for j in range(hg.n)]
     worst: PartitionCheck | None = None
-    for part, crossing, required in _violations(hg, tau):
-        if worst is None or crossing - required < worst.crossing - worst.required:
+    for part in iter_partitions(hg.n):
+        if len(part) == 1:
+            continue
+        block_masks = [sum(map(bit.__getitem__, block)) for block in part]
+        crossing = _crossing_count(hg.edge_masks, block_masks)
+        required = tau * (len(part) - 1)
+        if crossing < required and (
+            worst is None or crossing - required < worst.crossing - worst.required
+        ):
             worst = PartitionCheck(part, crossing, required)
-    if worst is None:
-        return True, None
-    return False, worst
+    return worst is None, worst
 
 
 def is_partition_connected(hg: Hypergraph, tau: int) -> bool:
-    """True iff every client partition meets the tau crossing requirement;
-    the scan stops at the first partition that does not."""
-    return next(_violations(hg, tau), None) is None
+    """True iff every client partition meets the tau crossing requirement:
+    iff the hyperedges, as messages, fit within m - tau broadcasts."""
+    check_tau(tau)
+    if hg.n == 1:
+        return True
+    if not hg.edge_masks:
+        return False
+    return is_inherently_connected(_holders(hg.n, hg.edge_masks), tau)
 
 
 def is_inherently_connected(fam: MessageFamily, tau: int) -> bool:

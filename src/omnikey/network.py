@@ -174,8 +174,13 @@ class Hypergraph:
     labels: tuple[int, ...] = field(default=())
 
     def __post_init__(self) -> None:
+        if not is_int(self.n):
+            raise InputFormatError("client count must be an integer")
         if self.n < 1:
             raise InputFormatError("need at least one client")
+        for mask in self.edge_masks:
+            if not is_int(mask):
+                raise InputFormatError(f"edge mask {mask!r} is not an integer")
         full = (1 << self.n) - 1
         if not all(1 <= mask <= full for mask in self.edge_masks):
             raise InputFormatError(f"edge masks must lie in 1..{full}")
@@ -197,15 +202,20 @@ class Hypergraph:
         return self.edge_masks[pos].bit_count()
 
 
-def to_hypergraph(fam: MessageFamily) -> Hypergraph:
-    """Hyperedge e = set of clients holding message e; exact dual of the family."""
-    edges = [0] * fam.m
-    for j, mask in enumerate(fam.masks):
+def _transpose(masks: Sequence[int], width: int) -> tuple[int, ...]:
+    """Bit j of output k is bit k of `masks[j]`, for k below `width`."""
+    out = [0] * width
+    for j, mask in enumerate(masks):
         while mask:
             low = mask & -mask
-            edges[low.bit_length() - 1] |= 1 << j
+            out[low.bit_length() - 1] |= 1 << j
             mask ^= low
-    return Hypergraph(fam.n, tuple(edges), fam.labels)
+    return tuple(out)
+
+
+def to_hypergraph(fam: MessageFamily) -> Hypergraph:
+    """Hyperedge e = set of clients holding message e; exact dual of the family."""
+    return Hypergraph(fam.n, _transpose(fam.masks, fam.m), fam.labels)
 
 
 def restrict(fam: MessageFamily, keep: Iterable[int]) -> MessageFamily:
@@ -248,6 +258,8 @@ def make_pin(n: int) -> MessageFamily:
     exactly its two endpoints, so the dual hypergraph is the complete
     graph K_n.  Sizes above PIN_GUARD_N are refused with SizeGuardError.
     """
+    if not is_int(n):
+        raise InputFormatError("pairwise network size must be an integer")
     if n < 2:
         raise InputFormatError("pairwise network needs at least two clients")
     if n > PIN_GUARD_N:
@@ -287,6 +299,8 @@ def make_gap(m: int) -> MessageFamily:
     unordered pair {i, j} (in lexicographic order) holds exactly that pair.
     Sizes above GAP_GUARD_M are refused with SizeGuardError.
     """
+    if not is_int(m):
+        raise InputFormatError("gap construction size must be an integer")
     if m < 4 or m % 2:
         raise InputFormatError("gap construction needs an even message count >= 4")
     if m > GAP_GUARD_M:

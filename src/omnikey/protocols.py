@@ -528,6 +528,8 @@ def split_gap_protocol(m: int) -> LinearProtocol:
     and rebuild the key from m/2 - 1 vector transmissions instead of m - 2
     scalar ones.  Sizes above GAP_GUARD_M (24) are refused with
     SizeGuardError."""
+    if not is_int(m):
+        raise InputFormatError("the pair-holder family size must be an integer")
     if m < 4 or m % 2:
         raise InputFormatError("the pair-holder family needs an even m of at least 4")
     # the guard also bounds make_gap's m(m-1)/2 + 1 clients; checking them

@@ -18,10 +18,10 @@ from omnikey import (
     make_pin,
     min_broadcasts,
     partition_bound_holds,
+    split_gap_protocol,
     to_hypergraph,
     tree_packing_number,
 )
-from omnikey.connectivity import _widest_packing
 from omnikey.errors import InfeasibleError, InputFormatError, SizeGuardError
 
 from conftest import (
@@ -92,8 +92,9 @@ def test_induce_by_order_needs_a_permutation():
 
 
 def test_complete_graph_packings():
-    # K_n packs floor(n/2) edge-disjoint spanning trees
-    for n in range(2, 8):
+    # K_n packs floor(n/2) edge-disjoint spanning trees; the last three
+    # are past the partition enumeration's client limit
+    for n in [*range(2, 8), 13, 20, 30]:
         assert tree_packing_number(complete_graph(n)) == n // 2
 
 
@@ -111,8 +112,9 @@ def test_extracted_trees_are_spanning_and_disjoint():
         n = rng.randint(2, 6)
         graph = random_multigraph(rng, n, rng.randint(n, 3 * n))
         k = tree_packing_number(graph)
-        # the witness reads the number and the trees off one packing pass
-        assert _widest_packing(graph) == (k, extract_tree_packing(graph, k))
+        # the number is the widest packing: one tree more does not fit
+        with pytest.raises(InfeasibleError):
+            extract_tree_packing(graph, k + 1)
         if k == 0:
             continue
         trees = extract_tree_packing(graph, k)
@@ -206,6 +208,14 @@ def test_partition_bound_agrees_with_packing_on_graphs():
         assert not is_partition_connected(hg, k + 1)
 
 
+@pytest.mark.parametrize("n", [13, 20, 30])
+def test_partition_connectivity_past_the_enumeration_limit(n):
+    # the dual of the pairwise network is K_n, which packs n // 2 trees
+    hg = to_hypergraph(make_pin(n))
+    assert is_partition_connected(hg, n // 2)
+    assert not is_partition_connected(hg, n // 2 + 1)
+
+
 def random_hypergraph(rng: random.Random, n: int, m: int) -> Hypergraph:
     """Hyperedges of random holders; about a third hold a single client."""
     masks = []
@@ -246,6 +256,40 @@ def test_non_integer_tau_is_refused(tau):
     ):
         with pytest.raises(InputFormatError, match="tau must be an integer"):
             check(arg, tau)
+
+
+@pytest.mark.parametrize(
+    "build",
+    [
+        lambda: Hypergraph(True, (1,)),
+        lambda: Hypergraph(2, (1.0,)),
+        lambda: Hypergraph(2.0, (1, 3)),
+        lambda: InducedMultigraph(2.0, ((1, 2),)),
+        lambda: InducedMultigraph(2, ((1.0, 2),)),
+        lambda: list(iter_partitions(True)),
+        lambda: extract_tree_packing(complete_graph(4), True),
+        lambda: extract_tree_packing(complete_graph(4), 1.5),
+        lambda: make_pin(4.0),
+        lambda: make_gap(4.0),
+        lambda: split_gap_protocol(6.0),
+    ],
+    ids=[
+        "Hypergraph n=True",
+        "Hypergraph mask 1.0",
+        "Hypergraph n=2.0",
+        "InducedMultigraph n=2.0",
+        "InducedMultigraph end 1.0",
+        "iter_partitions(True)",
+        "extract count True",
+        "extract count 1.5",
+        "make_pin(4.0)",
+        "make_gap(4.0)",
+        "split_gap_protocol(6.0)",
+    ],
+)
+def test_non_integer_sizes_are_refused(build):
+    with pytest.raises(InputFormatError, match="integer"):
+        build()
 
 
 def test_inherent_connectivity_thresholds():
