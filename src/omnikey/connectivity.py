@@ -10,9 +10,9 @@ Nash-Williams-Tutte's condition for tau edge-disjoint spanning trees.
 Read as messages held by their members, the hyperedges give blocks C with
 sum |X_C| = crossing(P) + m, and B broadcasts suffice iff every P has
 crossing(P) >= (m - B)(|P| - 1).  So for n >= 2 the bound holds at tau iff
-m - tau broadcasts suffice, and the packing number is m less the fewest
-broadcasts: one truncation pass each.  Only `partition_bound_holds`, which
-names the worst partition, enumerates them (up to PARTITION_GUARD_N clients).
+that family supports tau keys (`sk_feasible`), and a graph's packing number
+is the key capacity (`max_keys`) of its edges read as pairwise messages.
+Only `partition_bound_holds` enumerates partitions (up to PARTITION_GUARD_N).
 """
 
 from __future__ import annotations
@@ -23,7 +23,7 @@ from typing import Iterator, Sequence
 
 from .errors import InfeasibleError, InputFormatError, SizeGuardError, check_tau, is_int
 from .network import Hypergraph, MessageFamily, _transpose
-from .omniscience import _min_total, broadcasts_at_most
+from .secrecy import max_keys, sk_feasible
 
 __all__ = [
     "InducedMultigraph",
@@ -170,8 +170,8 @@ def _holders(n: int, edge_masks: Sequence[int]) -> MessageFamily:
 
 
 def tree_packing_number(graph: InducedMultigraph) -> int:
-    """Largest k with k edge-disjoint spanning trees: m less the fewest
-    broadcasts when each of the m edges is a message its ends hold.
+    """Largest k with k edge-disjoint spanning trees: the key count of the
+    family where each edge is a message its two ends hold.
 
     A single vertex spans with the empty tree, so any count works; the
     edge count plus one stands in for that unbounded case."""
@@ -179,8 +179,7 @@ def tree_packing_number(graph: InducedMultigraph) -> int:
         return len(graph.edges) + 1
     if not graph.edges:
         return 0
-    fam = _holders(graph.n, [(1 << u - 1) | (1 << v - 1) for u, v in graph.edges])
-    return fam.m - _min_total(fam)
+    return max_keys(_holders(graph.n, [(1 << u - 1) | (1 << v - 1) for u, v in graph.edges]))
 
 
 def extract_tree_packing(graph: InducedMultigraph, count: int) -> list[list[int]]:
@@ -293,4 +292,4 @@ def is_inherently_connected(fam: MessageFamily, tau: int) -> bool:
     """True iff omniscience fits within m - tau broadcasts, the regime where
     tau message-sized secrets survive every partition of the clients."""
     check_tau(tau)
-    return broadcasts_at_most(fam, fam.m - tau)
+    return sk_feasible(fam, tau)

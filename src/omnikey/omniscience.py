@@ -114,6 +114,14 @@ def demand(fam: MessageFamily, subset: Iterable[int]) -> int:
 # ---------------------------------------------------------------------------
 
 
+def _check_subset_guard(n: int) -> None:
+    """Refuse a client count past the subset tables' SUBSET_GUARD_N."""
+    if n > SUBSET_GUARD_N:
+        raise SizeGuardError(
+            f"subset separation supports at most {SUBSET_GUARD_N} clients, got {n}"
+        )
+
+
 class _Tables:
     """Right-hand sides of every subset constraint of a family, built
     where a certificate reads them: `rhs[s]` counts the messages that no
@@ -125,10 +133,7 @@ class _Tables:
     decisions and every refusal run without loading it."""
 
     def __init__(self, fam: MessageFamily):
-        if fam.n > SUBSET_GUARD_N:
-            raise SizeGuardError(
-                f"subset separation supports at most {SUBSET_GUARD_N} clients, got {fam.n}"
-            )
+        _check_subset_guard(fam.n)
         import numpy as np
 
         self.n = fam.n

@@ -50,7 +50,7 @@ from .fields import (
     rref,
 )
 from .network import GAP_GUARD_M, MessageFamily, make_gap, restrict
-from .omniscience import min_broadcasts
+from .omniscience import _check_subset_guard, min_broadcasts
 from .secrecy import min_key_support
 
 __all__ = [
@@ -443,9 +443,11 @@ def synth_sk(
     Runs omniscience on the smallest supporting message subset, then
     completes the transmission rows to a basis; the completion rows are
     the keys.  `field` pins the coefficient field instead of escalating
-    from GF(2)."""
+    from GF(2).  The restricted family keeps every client, so the subset
+    tables' client guard is checked before the support search."""
     check_tau(tau)
     field = _as_field(field)
+    _check_subset_guard(fam.n)
     support = min_key_support(fam, tau)
     if support is None:
         raise InfeasibleError(f"the family cannot agree on {tau} keys")

@@ -28,6 +28,10 @@ client.  A full combination must then meet the degree floor and every
 two-block floor before it reaches an omniscience decision, so leaves that
 cannot pass never reach the solver.
 
+Every floor has nonnegative weights, so supports are upward closed: a
+family with exactly tau keys is critical iff no m - 1 of its messages
+support tau keys, which `is_critical` asks the walk from size m - 1.
+
 Each omniscience decision (does the family, filtered to K, fit within
 |K| - tau broadcasts?) and the optimum total `_min_total` take the
 polynomial truncation pass of `omniscience`, which builds no subset
@@ -79,14 +83,9 @@ def is_critical(fam: MessageFamily, tau: int) -> bool:
     """True iff the family yields exactly tau keys and dropping any single
     message loses one: no message is dead weight."""
     check_tau(tau)
-    total = _min_total(fam)
-    if fam.m - total != tau:
+    if max_keys(fam) != tau:
         return False
-    full = (1 << fam.m) - 1
-    for i in range(fam.m):
-        if _decision_keep(fam, full ^ (1 << i), total - 1):
-            return False
-    return True
+    return _Walk(fam).search(tau, fam.m - 1) == tuple(range(fam.m))
 
 
 # ---------------------------------------------------------------------------
@@ -153,14 +152,8 @@ class _Walk:
         For each size the walk descends over ascending positions with an
         explicit stack of (next sibling, prefix weight, prefix holders,
         prefix mask), so its depth is bounded by memory, not by the
-        interpreter's frame limit.  A position is cut, with every later
-        sibling, once even the heaviest remaining weights cannot reach
-        the floor tau*(n - 1) or the remaining holders cannot cover every
-        client.  A full combination asks for the omniscience decision
-        (the polynomial pass `_decision_keep`) only if it meets that
-        floor and, for each client j, holds at least tau of the messages
-        in `shared[j]` (the two-block floor of {j} | rest, which also
-        implies the cover).
+        interpreter's frame limit.  Its cuts and leaf floors are the
+        module docstring's; a leaf that meets them asks `_decision_keep`.
         `top[k * stride + i]` sums the k heaviest weights among
         positions >= i; it holds only the pairs this search reaches, so
         its memory follows the search's work, never m x m."""

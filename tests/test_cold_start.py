@@ -65,6 +65,7 @@ def test_import_loads_no_numpy(tmp_path, module):
         (["analyze", "--preset", "gap:4000"], 3),
         (["protocol", "--gap", "1000"], 3),
         (["analyze", "--input", "missing.json"], 2),
+        (["protocol", "--preset", "pin:128", "--kind", "secret-key", "--tau", "1", "-o", "f.json"], 3),
     ],
 )
 def test_pure_python_commands_and_refusals_load_no_numpy(tmp_path, argv, code):

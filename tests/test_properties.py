@@ -25,6 +25,7 @@ from omnikey import (
     broadcasts_at_most,
     demand,
     field_from_order,
+    is_critical,
     is_partition_connected,
     max_keys,
     min_broadcasts,
@@ -48,6 +49,7 @@ from omnikey.protocols import _client_cols
 
 from conftest import (
     brute_feasible,
+    brute_max_keys,
     brute_min_broadcasts,
     brute_rate,
     brute_restrict_total,
@@ -132,6 +134,19 @@ def test_partition_bound_matches_the_member_count(hg, tau):
 def test_min_key_support_matches_brute_force(fam):
     for tau in range(1, fam.m + 1):
         assert min_key_support(fam, tau) == brute_sk_cost(fam, tau)[1]
+
+
+@settings(deadline=None, max_examples=100)
+@given(families(max_n=4, max_m=5))
+def test_is_critical_matches_brute_force(fam):
+    # critical: exactly tau keys, and dropping any one message leaves fewer
+    # (dropping the only message leaves no keys)
+    keys = brute_max_keys(fam)
+    messages = range(1, fam.m + 1)
+    dropped = [[k for k in messages if k != i] for i in messages]
+    left = max((len(d) - brute_restrict_total(fam, d) for d in dropped if d), default=0)
+    for tau in range(1, keys + 2):
+        assert is_critical(fam, tau) == (keys == tau and left < tau)
 
 
 @settings(deadline=None, max_examples=60)

@@ -292,6 +292,18 @@ def test_key_count_and_criticality_past_the_subset_tables(table_builds):
         table_builds.clear()
 
 
+@pytest.mark.parametrize(
+    "n, tau, critical",
+    [(12, 6, True), (12, 7, False), (20, 10, True), (20, 11, False), (30, 15, True),
+     (30, 16, False), (13, 6, False)],
+)
+def test_pairwise_network_criticality(n, tau, critical):
+    # pin:n yields n // 2 keys; an even n needs every pair, while pin:13's
+    # 78 messages can lose one.  On pin:30 the walk from size 434 cuts every
+    # subset on the degree floor, so no decision runs before the whole family
+    assert is_critical(make_pin(n), tau) == critical
+
+
 def test_every_minimum_support_is_critical():
     rng = random.Random(24)
     checked = 0
